@@ -13,12 +13,11 @@
 #include <string>
 #include <utility>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "bist/kit.hpp"
 #include "common/parse.hpp"
-#include "fault/campaign.hpp"
+#include "dist/coordinator.hpp"
 
 namespace fdbist::bench {
 
@@ -49,10 +48,11 @@ inline std::size_t threads() {
 }
 
 /// Campaign checkpoint directory: when FDBIST_CHECKPOINT_DIR is set,
-/// the heavy sweeps route fault simulation through the campaign layer,
-/// persisting per-(design, generator) checkpoints there so a killed
-/// sweep resumes instead of restarting (results bit-identical either
-/// way). Unset/empty = plain in-memory runs.
+/// the heavy sweeps route fault simulation through the sliced campaign
+/// (dist::run_distributed with zero workers), persisting each
+/// (design, generator) cell's slice files in a subdirectory there so a
+/// killed sweep resumes instead of restarting (results bit-identical
+/// either way). Unset/empty = plain in-memory runs.
 inline const char* checkpoint_dir() {
   const char* d = std::getenv("FDBIST_CHECKPOINT_DIR");
   return (d != nullptr && d[0] != '\0') ? d : nullptr;
@@ -94,43 +94,54 @@ inline void progress(const char* label, std::size_t done, std::size_t total) {
 }
 
 /// BIST evaluation with campaign resilience: when FDBIST_CHECKPOINT_DIR
-/// is set, verdicts checkpoint to "<dir>/<label>.ckpt" and an
-/// interrupted sweep resumes from there on the next run; otherwise the
-/// plain engine. Campaign errors (unreadable/foreign checkpoint) abort
-/// the bench with the typed error message — a sweep must never print
-/// rows computed from a checkpoint it could not trust.
+/// is set, each finished slice of the cell is saved under
+/// "<dir>/<label>/" and an interrupted sweep resumes from there on the
+/// next run (slice files from another cell are recomputed, never
+/// merged); otherwise the plain engine. Campaign errors (unusable
+/// directory) abort the bench with the typed error message.
 inline bist::BistReport evaluate(const bist::BistKit& kit,
                                  tpg::Generator& gen, std::size_t vectors,
                                  const std::string& label) {
-  if (const char* dir = checkpoint_dir()) {
-    ::mkdir(dir, 0777); // EEXIST is fine; real failures surface on save
-    std::string file;
-    for (const char c : label)
-      file.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                             c == '.' || c == '_' || c == '-'
-                         ? c
-                         : '_');
-    fault::CampaignOptions opt;
-    opt.num_threads = threads();
-    opt.checkpoint_path = std::string(dir) + "/" + file + ".ckpt";
-    opt.resume = true;
-    opt.progress = [label](std::size_t done, std::size_t total) {
-      progress(label.c_str(), done, total);
-    };
-    auto report = kit.evaluate_campaign(gen, vectors, opt);
-    if (!report) {
-      std::fprintf(stderr, "bench: %s: %s\n", label.c_str(),
-                   report.error().to_string().c_str());
-      std::exit(1);
-    }
-    return std::move(*report);
-  }
-  fault::FaultSimOptions opt;
-  opt.num_threads = threads();
-  opt.progress = [label](std::size_t done, std::size_t total) {
+  auto ticker = [label](std::size_t done, std::size_t total) {
     progress(label.c_str(), done, total);
   };
-  return kit.evaluate(gen, vectors, opt);
+  const char* dir = checkpoint_dir();
+  if (dir == nullptr) {
+    fault::FaultSimOptions opt;
+    opt.num_threads = threads();
+    opt.progress = ticker;
+    return kit.evaluate(gen, vectors, opt);
+  }
+  std::string sub;
+  for (const char c : label)
+    sub.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                          c == '.' || c == '_' || c == '-'
+                      ? c
+                      : '_');
+  gen.reset();
+  const auto stimulus = gen.generate_raw(vectors);
+  dist::DistOptions opt;
+  opt.num_workers = 0;
+  opt.dir = std::string(dir) + "/" + sub;
+  opt.compute.num_threads = threads();
+  opt.compute.family = static_cast<std::uint32_t>(kit.design().family);
+  opt.progress = ticker;
+  opt.verbose = false;
+  auto res = dist::run_distributed(kit.lowered().netlist, stimulus,
+                                   kit.faults(), opt);
+  if (!res || !res->sim.complete) {
+    std::fprintf(stderr, "bench: %s: %s\n", label.c_str(),
+                 res ? error_code_name(*res->stop_reason)
+                     : res.error().to_string().c_str());
+    std::exit(1);
+  }
+  bist::BistReport report;
+  report.vectors = vectors;
+  report.fault_result = std::move(res->sim);
+  report.total_faults = report.fault_result.total_faults;
+  report.detected = report.fault_result.detected;
+  report.golden_signature = kit.golden_signature(stimulus);
+  return report;
 }
 
 } // namespace fdbist::bench

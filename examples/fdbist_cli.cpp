@@ -8,7 +8,7 @@
 //                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] campaign <design> <generator> <vectors>
 //                            [--design NAME] [--signature W]
-//                            [--checkpoint FILE] [--checkpoint-every N]
+//                            [--checkpoint DIR] [--checkpoint-every N]
 //                            [--resume] [--deadline-s S]
 //                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] coordinate <design> <generator> <vectors>
@@ -16,12 +16,11 @@
 //                            [--workers N] [--slice-faults N]
 //                            [--lease-ms N] [--max-attempts N]
 //                            [--backoff-ms N] [--backoff-cap-ms N]
-//                            [--max-respawns N] [--checkpoint-every N]
-//                            [--deadline-s S] [--worker-cmd PATH]
+//                            [--max-respawns N] [--deadline-s S]
+//                            [--worker-cmd PATH]
 //                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] worker <design> <generator> <vectors>
 //                            --dir DIR --worker-id N [--signature W]
-//                            [--checkpoint-every N]
 //                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] spectra  <generator> [samples]
 //   fdbist_cli [--threads N] export   <design> <verilog|dot>
@@ -50,19 +49,26 @@
 // preparation statistics print to stderr so the stdout coverage line
 // stays diffable against an uncached run.
 //
-// `campaign` is `faultsim` with resilience: it periodically persists
-// per-fault verdicts to --checkpoint, a killed run restarted with
-// --resume continues where it stopped (final results bit-identical to
-// an uninterrupted run), and --deadline-s stops workers gracefully at
-// batch boundaries, reporting coverage-so-far.
+// `campaign` is `faultsim` with resilience: the `coordinate` runtime
+// with zero workers. It splits the faults into --checkpoint-every-sized
+// slices (default 1024) and saves each finished slice's verdicts as a
+// file in the --checkpoint directory; a killed run restarted with
+// --resume adopts the valid slice files and computes only the rest
+// (final results bit-identical to an uninterrupted run). A slice file
+// that is corrupt or was written by another design, stimulus, family,
+// signature or slice size is deleted and recomputed, never merged.
+// Without --resume this run's slice files are deleted first; without
+// --checkpoint they live in a private temporary directory removed on
+// exit. --deadline-s stops the engine gracefully at batch boundaries,
+// reporting coverage-so-far over the finished slices.
 //
 // `coordinate` runs the same campaign distributed over --workers child
 // processes (each `fdbist_cli worker`, spawned automatically), leasing
 // --slice-faults-sized slices, retrying through crashes and hangs, and
 // merging partial results into a final line byte-identical to
-// `faultsim`. --dir holds slice checkpoints and partials; a re-run
-// with the same --dir resumes from whatever survived. `worker` is the
-// child half — it is spawned by `coordinate`, not typed by hand.
+// `faultsim`. --dir holds the slice files; a re-run with the same
+// --dir resumes from whatever survived. `worker` is the child half —
+// it is spawned by `coordinate`, not typed by hand.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every
@@ -75,14 +81,16 @@
 // Exit codes: 0 success, 1 runtime error, 2 bad usage, 4 fuzz
 // discrepancy (the differential oracle found a mismatch). A campaign
 // stopped before finishing reports *why* in its status: 3 cancellation,
-// 5 deadline expiry, 6 worker loss (a slice exhausted its retry budget
-// under `coordinate`). All three still print coverage-so-far.
+// 5 deadline expiry, 6 worker loss (a slice exhausted its retry
+// budget). All three still print coverage-so-far.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -100,7 +108,6 @@
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
 #include "dsp/spectrum.hpp"
-#include "fault/campaign.hpp"
 #include "fault/schedule_cache.hpp"
 #include "gate/verilog.hpp"
 #include "rtl/dot_export.hpp"
@@ -136,7 +143,7 @@ int usage() {
                "  fdbist_cli [--threads N] campaign <design> <generator> "
                "<vectors>\n"
                "                           [--design NAME] [--signature W] "
-               "[--checkpoint FILE]\n"
+               "[--checkpoint DIR]\n"
                "                           [--checkpoint-every N] [--resume] "
                "[--deadline-s S]\n"
                "                           [--schedule-cache DIR] "
@@ -149,14 +156,13 @@ int usage() {
                "[--backoff-ms N]\n"
                "                           [--backoff-cap-ms N] "
                "[--max-respawns N]\n"
-               "                           [--checkpoint-every N] "
-               "[--deadline-s S] [--worker-cmd PATH]\n"
+               "                           [--deadline-s S] "
+               "[--worker-cmd PATH]\n"
                "                           [--schedule-cache DIR] "
                "[--no-schedule-cache]\n"
                "  fdbist_cli [--threads N] worker <design> <generator> "
                "<vectors> --dir DIR\n"
-               "                           --worker-id N [--signature W] "
-               "[--checkpoint-every N]\n"
+               "                           --worker-id N [--signature W]\n"
                "                           [--schedule-cache DIR] "
                "[--no-schedule-cache]\n"
                "  fdbist_cli [--threads N] spectra  <generator> [samples]\n"
@@ -173,6 +179,8 @@ int usage() {
                "(2..31) and report measured aliasing\n"
                "--threads N: fault-sim worker threads (0 = one per "
                "hardware thread; results identical for any N)\n"
+               "--checkpoint DIR: campaign slice files "
+               "(--checkpoint-every N faults each, default 1024)\n"
                "--schedule-cache DIR: reuse compiled schedules across "
                "slices, processes and runs\n"
                "            (env FDBIST_SCHEDULE_CACHE; "
@@ -500,15 +508,27 @@ int cmd_faultsim(int argc, char** argv) {
   return 0;
 }
 
+/// A temporary directory removed, with its contents, on scope exit.
+struct PrivateDir {
+  std::string path;
+  ~PrivateDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
 int cmd_campaign(int argc, char** argv) {
   if (argc < 4) return usage();
   auto name = resolve_design_name(argv[1]);
   const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
   if (!name || !vectors) return usage();
 
-  fault::CampaignOptions copt;
-  copt.num_threads = g_threads;
-  copt.checkpoint_every = 1024;
+  dist::DistOptions dopt;
+  dopt.num_workers = 0;
+  dopt.slice_faults = 1024;
+  dopt.compute.num_threads = g_threads;
+  dopt.verbose = false;
+  bool resume = false;
   CacheFlags cache_flags;
   bool cache_err = false;
   for (int i = 4; i < argc; ++i) {
@@ -520,44 +540,44 @@ int cmd_campaign(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
       const auto sig = arg_signature(argv[++i]);
       if (!sig) return usage();
-      copt.signature = *sig;
+      dopt.compute.signature = *sig;
     } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      copt.checkpoint_path = argv[++i];
+      dopt.dir = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
                i + 1 < argc) {
       const auto every =
           arg_size(argv[++i], "--checkpoint-every", 1, kMaxVectors);
       if (!every) return usage();
-      copt.checkpoint_every = *every;
+      dopt.slice_faults = *every;
     } else if (std::strcmp(argv[i], "--resume") == 0) {
-      copt.resume = true;
+      resume = true;
     } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
       const auto deadline = arg_double(argv[++i], "--deadline-s", 0.0, 1e9);
       if (!deadline) return usage();
-      copt.deadline_s = *deadline;
+      dopt.deadline_s = *deadline;
     } else {
       std::fprintf(stderr, "fdbist_cli: unknown campaign flag \"%s\"\n",
                    argv[i]);
       return usage();
     }
   }
-  if (copt.resume && copt.checkpoint_path.empty()) {
+  if (resume && dopt.dir.empty()) {
     std::fprintf(stderr, "fdbist_cli: --resume requires --checkpoint\n");
     return usage();
   }
   const auto cache = cache_flags.make(&cache_err);
   if (cache_err) return usage();
-  copt.schedule_cache = cache.get();
+  dopt.schedule_cache = cache.get();
 
   const auto d = designs::make_design(*name);
-  copt.family = static_cast<std::uint32_t>(d.family);
+  dopt.compute.family = static_cast<std::uint32_t>(d.family);
   auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
   if (!gen) return usage();
   bist::BistKit kit(d);
   gen->reset();
   const auto stimulus = gen->generate_raw(*vectors);
   if (isatty(fileno(stderr)) != 0) {
-    copt.progress = [](std::size_t done, std::size_t total) {
+    dopt.progress = [](std::size_t done, std::size_t total) {
       std::fprintf(stderr, "\r  [campaign] %3d%%",
                    total == 0 ? 100 : int(100 * done / total));
       if (done >= total) std::fprintf(stderr, "\n");
@@ -565,8 +585,29 @@ int cmd_campaign(int argc, char** argv) {
     };
   }
 
-  auto res = fault::run_campaign(kit.lowered().netlist, stimulus,
-                                 kit.faults(), copt);
+  // The slice directory: private and removed on exit without
+  // --checkpoint; otherwise a fresh run drops this run's old slice
+  // files (and nothing else in the directory) before starting.
+  PrivateDir tmp_dir;
+  if (dopt.dir.empty()) {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "fdbist-campaign-XXXXXX")
+            .string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      std::fprintf(stderr, "fdbist_cli: cannot create a temporary slice "
+                           "directory\n");
+      return 1;
+    }
+    dopt.dir = tmp_dir.path = tmpl;
+  } else if (!resume) {
+    const std::size_t slices =
+        (kit.faults().size() + dopt.slice_faults - 1) / dopt.slice_faults;
+    for (std::size_t s = 0; s < slices; ++s)
+      std::remove(dist::partial_path(dopt.dir, s).c_str());
+  }
+
+  auto res = dist::run_distributed(kit.lowered().netlist, stimulus,
+                                   kit.faults(), dopt);
   if (!res) {
     std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
     return 1;
@@ -575,15 +616,14 @@ int cmd_campaign(int argc, char** argv) {
     std::fprintf(stderr,
                  "resumed from %s: %zu slices already finalized, %zu run "
                  "now\n",
-                 copt.checkpoint_path.c_str(), res->resumed_slices,
-                 res->completed_slices);
+                 dopt.dir.c_str(), res->resumed_slices, res->inline_slices);
 
   if (cache != nullptr) print_cache_stats(res->sim.stats);
   const fault::FaultSimResult& r = res->sim;
   if (!r.complete) return print_partial(r, *res->stop_reason);
   print_coverage_line(d.name, gen->name(), *vectors, r,
                       kit.golden_signature(stimulus));
-  print_signature_line(copt.signature, r);
+  print_signature_line(dopt.compute.signature, r);
   return 0;
 }
 
@@ -615,12 +655,6 @@ int cmd_worker(int argc, char** argv) {
       if (!id) return usage();
       wopt.worker_id = *id;
       have_id = true;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto every =
-          arg_size(argv[++i], "--checkpoint-every", 0, kMaxVectors);
-      if (!every) return usage();
-      wopt.compute.checkpoint_every = *every;
     } else {
       std::fprintf(stderr, "fdbist_cli: unknown worker flag \"%s\"\n",
                    argv[i]);
@@ -662,7 +696,6 @@ int cmd_coordinate(int argc, char** argv) {
   dist::DistOptions dopt;
   dopt.compute.num_threads = g_threads;
   std::string worker_cmd;
-  std::size_t checkpoint_every = 0;
   CacheFlags cache_flags;
   bool cache_err = false;
   for (int i = 4; i < argc; ++i) {
@@ -706,12 +739,6 @@ int cmd_coordinate(int argc, char** argv) {
       const auto n = arg_size(argv[++i], "--max-respawns", 0, 1u << 20);
       if (!n) return usage();
       dopt.max_respawns = *n;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--checkpoint-every", 0,
-                              kMaxVectors);
-      if (!n) return usage();
-      checkpoint_every = *n;
     } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
       const auto deadline = arg_double(argv[++i], "--deadline-s", 0.0, 1e9);
       if (!deadline) return usage();
@@ -731,7 +758,6 @@ int cmd_coordinate(int argc, char** argv) {
   const auto cache = cache_flags.make(&cache_err);
   if (cache_err) return usage();
   dopt.schedule_cache = cache.get();
-  dopt.compute.checkpoint_every = checkpoint_every;
 
   // Workers are this very binary re-invoked in `worker` mode with the
   // same universe arguments (the *resolved* design name, so a --design
@@ -742,8 +768,7 @@ int cmd_coordinate(int argc, char** argv) {
     dopt.worker_argv = {
         worker_cmd.empty() ? common::self_exe_path(g_argv0) : worker_cmd,
         "--threads", "1", "worker", *name, argv[2], argv[3],
-        "--dir", dopt.dir,
-        "--checkpoint-every", std::to_string(checkpoint_every)};
+        "--dir", dopt.dir};
     if (dopt.compute.signature.enabled()) {
       dopt.worker_argv.push_back("--signature");
       dopt.worker_argv.push_back(

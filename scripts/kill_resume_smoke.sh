@@ -59,7 +59,7 @@ wait "$pid" 2>/dev/null
 first_status=$?
 echo "first run exit status: $first_status"
 
-if [[ ! -f "$ckpt" ]]; then
+if [[ ! -d "$ckpt" ]]; then
   # Killed before the first checkpoint write: resume is then a fresh
   # start, which the resume run below must handle identically.
   echo "no checkpoint written before the kill — resume will start fresh"

@@ -52,26 +52,6 @@ BistReport BistKit::evaluate(tpg::Generator& gen, std::size_t vectors,
   return report;
 }
 
-Expected<BistReport> BistKit::evaluate_campaign(
-    tpg::Generator& gen, std::size_t vectors,
-    const fault::CampaignOptions& opt) const {
-  FDBIST_REQUIRE(vectors > 0, "need at least one test vector");
-  gen.reset();
-  const auto stimulus = gen.generate_raw(vectors);
-
-  auto campaign =
-      fault::run_campaign(lowered_.netlist, stimulus, faults_, opt);
-  if (!campaign) return campaign.error();
-
-  BistReport report;
-  report.vectors = vectors;
-  report.fault_result = std::move(campaign->sim);
-  report.total_faults = report.fault_result.total_faults;
-  report.detected = report.fault_result.detected;
-  report.golden_signature = golden_signature(stimulus);
-  return report;
-}
-
 std::vector<fault::Fault> BistKit::undetected_faults(
     const fault::FaultSimResult& r) const {
   FDBIST_REQUIRE(r.detect_cycle.size() == faults_.size(),

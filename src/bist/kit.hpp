@@ -17,8 +17,6 @@
 
 #include "analysis/compatibility.hpp"
 #include "bist/misr.hpp"
-#include "common/error.hpp"
-#include "fault/campaign.hpp"
 #include "fault/simulator.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generator.hpp"
@@ -59,17 +57,6 @@ public:
   /// whole universe, compute the golden signature.
   BistReport evaluate(tpg::Generator& gen, std::size_t vectors,
                       const fault::FaultSimOptions& opt = {}) const;
-
-  /// Like evaluate, but routed through the robust campaign layer
-  /// (fault/campaign.hpp): periodic checkpoints, kill-and-resume,
-  /// cancellation, deadline. Environmental failures (unreadable or
-  /// foreign checkpoint) come back as typed errors; a cancelled or
-  /// deadlined run yields a *report* whose fault_result.complete is
-  /// false — coverage-so-far, never discarded. Results are
-  /// bit-identical to evaluate() when the campaign runs to completion.
-  Expected<BistReport> evaluate_campaign(
-      tpg::Generator& gen, std::size_t vectors,
-      const fault::CampaignOptions& opt) const;
 
   /// Faults left undetected by a previous evaluation, with locations.
   std::vector<fault::Fault> undetected_faults(

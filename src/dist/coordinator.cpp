@@ -1,17 +1,15 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <utility>
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include "common/subprocess.hpp"
@@ -104,10 +102,12 @@ struct Coordinator {
     }
   }
 
-  /// Load, validate, and merge slice `slice`'s partial file. A bad file
-  /// is a retryable event; a merge-audit violation is a coordinator bug
-  /// and surfaces as a hard error.
-  Expected<void> merge_done(std::size_t slice, bool ran_inline) {
+  /// Load, validate, and merge slice `slice`'s partial file, plus the
+  /// engine stats of a slice computed inline (null for a worker's). A
+  /// bad file is a retryable event; a merge-audit violation is a
+  /// coordinator bug and surfaces as a hard error.
+  Expected<void> merge_done(std::size_t slice,
+                            const fault::FaultSimStats* inline_stats) {
     const SliceSpec& spec = queue->spec(slice);
     const std::string path = partial_path(opt.dir, slice);
     auto reject = [&](const Error& e) {
@@ -132,7 +132,10 @@ struct Coordinator {
     if (auto m = merge_partial(res.sim, *p); !m) return m.error();
     queue->complete(slice);
     merged_faults += spec.count;
-    if (ran_inline) ++res.inline_slices;
+    if (inline_stats != nullptr) {
+      ++res.inline_slices;
+      res.sim.stats.merge(*inline_stats);
+    }
     report_progress();
     return {};
   }
@@ -201,7 +204,7 @@ struct Coordinator {
       if (s.slice == m->a) {
         const std::size_t slice = m->a;
         s.slice = kNoSlice;
-        return merge_done(slice, false);
+        return merge_done(slice, nullptr);
       }
       break;
     case MsgKind::Fail:
@@ -303,6 +306,32 @@ struct Coordinator {
     return n;
   }
 
+  /// Acquire the campaign's artifact from the schedule cache and fold
+  /// the cache stats into the result. The pass pipeline is credited
+  /// once per design, at build time: slices running off the artifact
+  /// report zero pipeline work, which is exactly the amortization
+  /// being measured.
+  void acquire_inline_artifact(const gate::PassOptions& passes) {
+    fault::ArtifactCacheStats cstats;
+    inline_artifact =
+        opt.schedule_cache->acquire(nl, stimulus, faults, passes, cstats);
+    fault::FaultSimStats& st = res.sim.stats;
+    fault::fold_cache_stats(cstats, st);
+    if (inline_artifact == nullptr || !inline_artifact->ran_passes ||
+        cstats.misses == 0)
+      return;
+    st.pipeline_runs += 1;
+    st.pipeline_gates_before += inline_artifact->gates_before;
+    st.pipeline_gates_after += inline_artifact->gates_after;
+    for (const gate::PassDelta& pd : inline_artifact->deltas) {
+      auto& pc = st.passes[std::size_t(pd.kind)];
+      pc.runs += pd.runs;
+      pc.gates_removed += pd.gates_removed;
+      pc.edges_removed += pd.edges_removed;
+      pc.regs_removed += pd.regs_removed;
+    }
+  }
+
   /// No workers left and none spawnable: the coordinator computes a
   /// slice itself. Blocking is fine — there is nobody else to service.
   Expected<void> inline_step() {
@@ -324,11 +353,7 @@ struct Coordinator {
       // Lazily on the first inline slice: a campaign whose workers do
       // all the work never pays for an artifact the coordinator won't
       // use. Later inline slices reuse the handle.
-      if (inline_artifact == nullptr) {
-        fault::ArtifactCacheStats cstats;
-        inline_artifact = opt.schedule_cache->acquire(
-            nl, stimulus, faults, c.passes, cstats);
-      }
+      if (inline_artifact == nullptr) acquire_inline_artifact(c.passes);
       c.artifact = inline_artifact;
     }
     auto r = compute_and_save_slice(nl, stimulus, faults, fp, opt.dir, *idx,
@@ -336,7 +361,7 @@ struct Coordinator {
     if (!r) {
       if (r.error().code == ErrorCode::Cancelled ||
           r.error().code == ErrorCode::DeadlineExceeded) {
-        queue->release(*idx); // progress survives in the slice checkpoint
+        queue->release(*idx); // an unfinished slice leaves no file
         res.stop_reason = r.error().code;
         return {};
       }
@@ -345,7 +370,7 @@ struct Coordinator {
       fail_slice(*idx);
       return {};
     }
-    return merge_done(*idx, true);
+    return merge_done(*idx, &*r);
   }
 
   Expected<void> poll_and_drain() {
@@ -392,8 +417,8 @@ struct Coordinator {
         m.kind = MsgKind::Exit;
         common::write_line(s.child.write_fd, format_message(m));
       } else {
-        // Early stop: don't wait out an in-flight slice. The worker's
-        // slice checkpoint survives for a future resume.
+        // Early stop: don't wait out an in-flight slice; a later run
+        // recomputes it.
         common::kill_child(s.child, SIGKILL);
       }
       common::close_child_pipes(s.child);
@@ -408,10 +433,14 @@ struct Coordinator {
     if (opt.dir.empty())
       return Error{ErrorCode::InvalidArgument,
                    "distributed campaign needs a scratch directory"};
-    if (::mkdir(opt.dir.c_str(), 0777) != 0 && errno != EEXIST)
-      return Error{ErrorCode::Io, "cannot create scratch directory " +
-                                      opt.dir + " (" + std::strerror(errno) +
-                                      ")"};
+    // A path that is a plain file must fail here, not burn every
+    // slice's attempts on failed saves.
+    std::error_code ec, stat_ec;
+    std::filesystem::create_directories(opt.dir, ec);
+    if (!std::filesystem::is_directory(opt.dir, stat_ec))
+      return Error{ErrorCode::Io,
+                   "cannot create scratch directory " + opt.dir +
+                       (ec ? " (" + ec.message() + ")" : std::string())};
     if (opt.deadline_s > 0) token.set_deadline_after(opt.deadline_s);
     fp = fingerprint_universe(nl, stimulus, faults, opt.compute.family);
 

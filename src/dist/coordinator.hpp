@@ -1,4 +1,4 @@
-// The coordinator half of a distributed campaign.
+// The coordinator of a sliced fault-simulation campaign.
 //
 // run_distributed partitions the fault universe into contiguous slices,
 // leases them to a pool of worker processes (dist/worker.hpp) over the
@@ -6,6 +6,12 @@
 // partial-result file through the audited FaultSimResult::merge, and
 // returns a result bit-identical to a single-process run — for any
 // worker count, any crash schedule, and any interleaving of retries.
+//
+// With zero workers every slice runs inline in the calling process:
+// that mode IS the checkpointed campaign (`fdbist_cli campaign`, the
+// bench sweeps). Each finished slice's partial file is its checkpoint,
+// and a rerun over the same directory adopts the valid files and
+// computes only the missing slices.
 //
 // Failure policy, in one place:
 //
@@ -20,14 +26,18 @@
 //   no spawnable workers left    coordinator completes remaining slices
 //                                inline (graceful degradation down to
 //                                zero workers)
-//   cancel token / deadline      workers SIGKILLed (their slice
-//                                checkpoints survive for a later
-//                                resume), stop_reason Cancelled or
-//                                DeadlineExceeded
+//   cancel token / deadline      workers SIGKILLed, stop_reason
+//                                Cancelled or DeadlineExceeded; the
+//                                result holds the finished slices only
+//                                (a slice cut short writes no file and
+//                                is recomputed by a later run)
 //
 // Pre-existing valid partial files in the scratch directory are merged
 // up-front, so a restarted coordinator — or one handed another
-// coordinator's scratch directory — resumes rather than recomputes.
+// coordinator's scratch directory — resumes rather than recomputes. A
+// file that fails to load or validate (corrupt, or written by another
+// universe, family, signature configuration or slice geometry) is
+// deleted and its slice recomputed; it is never merged.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +60,8 @@ struct DistOptions {
   std::vector<std::string> worker_argv;
   std::size_t num_workers = 4;
 
-  /// Scratch directory for slice checkpoints and partial-result files;
-  /// created if missing. Must be shared with the workers.
+  /// Directory for the slice partial-result files; created if missing.
+  /// Must be shared with the workers.
   std::string dir;
 
   /// Faults per slice (the unit of distribution and retry).
@@ -95,8 +105,10 @@ struct DistOptions {
   /// Optional schedule cache for inline slices (caller-owned, must
   /// outlive the call): the coordinator acquires the campaign's
   /// compiled artifact once, on the first slice it runs inline, instead
-  /// of re-preparing per slice. Workers bring their own cache (the CLI
-  /// forwards --schedule-cache to worker argv).
+  /// of re-preparing per slice, and folds the cache stats (plus the
+  /// artifact's one pass-pipeline run on a miss) into the result.
+  /// Workers bring their own cache (the CLI forwards --schedule-cache
+  /// to worker argv).
   fault::ScheduleCache* schedule_cache = nullptr;
 
   /// Log coordinator events ("[coord] ...") to stderr.
@@ -105,8 +117,9 @@ struct DistOptions {
 
 struct DistResult {
   /// Merged verdicts; bit-identical to a single-process run when
-  /// complete. stats covers only slices the coordinator ran inline —
-  /// partial files deliberately carry verdicts, not engine counters.
+  /// complete. stats covers the artifact acquisition and the slices the
+  /// coordinator ran inline — partial files deliberately carry
+  /// verdicts, not engine counters.
   fault::FaultSimResult sim;
   std::size_t slices = 0;
   /// Slices merged from partial files found before any work started.
@@ -127,11 +140,10 @@ struct DistResult {
   std::optional<ErrorCode> stop_reason;
 };
 
-/// Run one distributed campaign. Errors are reserved for environmental
-/// failures around the coordinator itself (scratch dir unusable, merge
-/// audit violation — a bug); cancellation, deadline, and worker
-/// exhaustion come back as a valid partial DistResult with stop_reason
-/// set, mirroring fault::run_campaign.
+/// Run one campaign. Errors are reserved for environmental failures
+/// around the coordinator itself (scratch dir unusable, merge audit
+/// violation — a bug); cancellation, deadline, and worker exhaustion
+/// come back as a valid partial DistResult with stop_reason set.
 Expected<DistResult> run_distributed(const gate::Netlist& nl,
                                      std::span<const std::int64_t> stimulus,
                                      std::span<const fault::Fault> faults,

@@ -7,8 +7,6 @@
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
-#include "fault/campaign.hpp"
-#include "fault/checkpoint.hpp"
 
 namespace fdbist::dist {
 
@@ -40,10 +38,6 @@ UniverseFp fingerprint_universe(const gate::Netlist& nl,
 
 std::string partial_path(const std::string& dir, std::size_t slice) {
   return dir + "/slice-" + std::to_string(slice) + ".part";
-}
-
-std::string slice_checkpoint_path(const std::string& dir, std::size_t slice) {
-  return dir + "/slice-" + std::to_string(slice) + ".ckpt";
 }
 
 Expected<void> save_partial(const std::string& path, const SlicePartial& p) {
@@ -174,44 +168,27 @@ Expected<void> merge_partial(fault::FaultSimResult& into,
   return into.merge(part, p.lo);
 }
 
-Expected<void> compute_and_save_slice(const gate::Netlist& nl,
-                                      std::span<const std::int64_t> stimulus,
-                                      std::span<const fault::Fault> faults,
-                                      const UniverseFp& fp,
-                                      const std::string& dir,
-                                      std::size_t slice, std::size_t lo,
-                                      std::size_t count,
-                                      const SliceComputeOptions& opt) {
-  fault::CampaignOptions copt;
-  copt.num_threads = opt.num_threads;
-  copt.engine = opt.engine;
-  copt.simd = opt.simd;
-  copt.passes = opt.passes;
-  copt.family = opt.family;
-  copt.signature = opt.signature;
-  copt.artifact = opt.artifact;
-  copt.checkpoint_every =
-      opt.checkpoint_every == 0 ? count
-                                : std::min(opt.checkpoint_every, count);
-  copt.checkpoint_path = slice_checkpoint_path(dir, slice);
-  copt.resume = true; // pick up where a dead worker's checkpoint stopped
-  copt.cancel = opt.cancel;
-  copt.progress = opt.progress;
-
-  auto r = fault::run_campaign(nl, stimulus, faults.subspan(lo, count), copt);
-  if (!r && (r.error().code == ErrorCode::FingerprintMismatch ||
-             r.error().code == ErrorCode::CorruptCheckpoint)) {
-    // The slice checkpoint is a resume hint, not the result: one left
-    // by an attempt with a different checkpoint granularity (or torn
-    // past what the atomic writer guards) must not wedge the slice
-    // into retry exhaustion. Drop it and recompute from scratch.
-    std::remove(copt.checkpoint_path.c_str());
-    r = fault::run_campaign(nl, stimulus, faults.subspan(lo, count), copt);
-  }
-  if (!r) return r.error();
-  if (!r->sim.complete)
-    return Error{*r->stop_reason, "slice " + std::to_string(slice) +
-                                      " stopped before completion"};
+Expected<fault::FaultSimStats> compute_and_save_slice(
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
+    std::span<const fault::Fault> faults, const UniverseFp& fp,
+    const std::string& dir, std::size_t slice, std::size_t lo,
+    std::size_t count, const SliceComputeOptions& opt) {
+  fault::FaultSimOptions fopt;
+  fopt.num_threads = opt.num_threads;
+  fopt.engine = opt.engine;
+  fopt.simd = opt.simd;
+  fopt.passes = opt.passes;
+  fopt.signature = opt.signature;
+  fopt.artifact = opt.artifact;
+  fopt.cancel = opt.cancel;
+  fopt.progress = opt.progress;
+  fault::FaultSimResult r =
+      fault::simulate_faults(nl, stimulus, faults.subspan(lo, count), fopt);
+  if (!r.complete)
+    return Error{opt.cancel != nullptr ? opt.cancel->reason()
+                                       : ErrorCode::Cancelled,
+                 "slice " + std::to_string(slice) +
+                     " stopped before completion"};
 
   SlicePartial p;
   p.fp = fp;
@@ -220,8 +197,8 @@ Expected<void> compute_and_save_slice(const gate::Netlist& nl,
   p.lo = lo;
   p.sig_width = static_cast<std::uint32_t>(opt.signature.width);
   p.sig_taps = opt.signature.taps;
-  p.detect_cycle = r->sim.detect_cycle;
-  p.signature_detect = r->sim.signature_detect;
+  p.detect_cycle = std::move(r.detect_cycle);
+  p.signature_detect = std::move(r.signature_detect);
   if (auto saved = save_partial(partial_path(dir, slice), p); !saved)
     return saved.error();
 
@@ -240,8 +217,7 @@ Expected<void> compute_and_save_slice(const gate::Netlist& nl,
     }
   }
 
-  std::remove(copt.checkpoint_path.c_str()); // superseded by the partial
-  return {};
+  return r.stats;
 }
 
 } // namespace fdbist::dist

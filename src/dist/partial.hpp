@@ -1,14 +1,17 @@
-// Per-slice partial results: the on-disk unit of distributed work.
+// Per-slice partial results: the on-disk unit of campaign work, and the
+// campaign's only checkpoint.
 //
-// A distributed campaign (dist/coordinator.hpp) partitions the fault
-// universe into contiguous slices; whichever process finishes a slice —
-// a worker or the coordinator running it inline — persists the slice's
-// verdicts as a partial-result file, and the coordinator folds every
-// valid partial into the final FaultSimResult through the audited
+// A campaign (dist/coordinator.hpp) partitions the fault universe into
+// contiguous slices; whichever process finishes a slice — a worker or
+// the coordinator running it inline — persists the slice's verdicts as
+// a partial-result file, and the coordinator folds every valid partial
+// into the final FaultSimResult through the audited
 // FaultSimResult::merge. Because a fault's detect cycle is a pure
 // function of (netlist, stimulus, fault), any crash schedule that
 // eventually produces one valid partial per slice merges to a result
-// bit-identical to a single-process run.
+// bit-identical to a single-process run — which is also what makes a
+// restarted campaign resume: the files a killed run left behind are
+// adopted, and only the missing slices are computed.
 //
 // File layout, version 2 ("FDBP", native-endian, local artifact).
 // Version 2 adds the design family and signature-compaction
@@ -92,9 +95,8 @@ struct SlicePartial {
   std::vector<std::uint8_t> signature_detect;
 };
 
-/// Canonical file names inside a campaign scratch directory.
+/// Canonical file name of slice `slice` inside a campaign directory.
 std::string partial_path(const std::string& dir, std::size_t slice);
-std::string slice_checkpoint_path(const std::string& dir, std::size_t slice);
 
 /// Atomically persist / load one partial. Loads return Io for
 /// filesystem trouble and CorruptCheckpoint for malformed content.
@@ -119,14 +121,10 @@ struct SliceComputeOptions {
   fault::FaultSimEngine engine = fault::FaultSimEngine::Auto;
   common::SimdBackend simd = common::SimdBackend::Auto;
   gate::PassOptions passes;
-  /// Design family tag recorded in slice checkpoints (the partial
-  /// itself carries it inside UniverseFp).
+  /// Design family tag, recorded in the partial inside UniverseFp.
   std::uint32_t family = 0;
-  /// Response compaction; verdict-affecting, so recorded in both the
-  /// slice checkpoint and the partial.
+  /// Response compaction; verdict-affecting, so recorded in the partial.
   fault::SignatureOptions signature;
-  /// Within-slice checkpoint granularity; 0 = one checkpoint per slice.
-  std::size_t checkpoint_every = 0;
   /// Prebuilt compiled artifact for the FULL campaign universe
   /// (fault/schedule_cache.hpp), acquired once per process and forwarded
   /// to every slice this process computes — a respawned worker loads it
@@ -134,26 +132,22 @@ struct SliceComputeOptions {
   std::shared_ptr<const fault::CompiledArtifact> artifact;
   const common::CancelToken* cancel = nullptr;
   /// Called with (faults finalized in this slice, slice fault count) as
-  /// the underlying campaign advances — the worker's lease heartbeat.
+  /// the fault engine advances — the worker's lease heartbeat.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
-/// Run one slice through the campaign machinery (checkpointing to
-/// slice_checkpoint_path, resuming any earlier attempt's progress; an
-/// unusable slice checkpoint — foreign fingerprints or a different
-/// granularity — is deleted and the slice recomputed from scratch) and
-/// persist the partial. Returns Cancelled/DeadlineExceeded as errors —
-/// an unfinished slice writes no partial, its checkpoint carries the
-/// progress. The "corrupt-result" failpoint (common/failpoint.hpp,
+/// Fault-simulate faults [lo, lo + count) of the universe and persist
+/// them as slice `slice`'s partial. Returns the engine stats of the
+/// slice's simulate_faults call, so an inline caller can account for
+/// the work. Returns Cancelled/DeadlineExceeded as errors — an
+/// unfinished slice writes no file and is recomputed from scratch
+/// later. The "corrupt-result" failpoint (common/failpoint.hpp,
 /// `corrupt` action) flips a payload byte in the saved file, which the
 /// load-side checksum must catch.
-Expected<void> compute_and_save_slice(const gate::Netlist& nl,
-                                      std::span<const std::int64_t> stimulus,
-                                      std::span<const fault::Fault> faults,
-                                      const UniverseFp& fp,
-                                      const std::string& dir,
-                                      std::size_t slice, std::size_t lo,
-                                      std::size_t count,
-                                      const SliceComputeOptions& opt);
+Expected<fault::FaultSimStats> compute_and_save_slice(
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
+    std::span<const fault::Fault> faults, const UniverseFp& fp,
+    const std::string& dir, std::size_t slice, std::size_t lo,
+    std::size_t count, const SliceComputeOptions& opt);
 
 } // namespace fdbist::dist

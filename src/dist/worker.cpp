@@ -60,8 +60,8 @@ Expected<void> run_worker(const gate::Netlist& nl,
   // Acquire the campaign's compiled artifact ONCE per worker process —
   // memory cache, then the shared on-disk store (where a predecessor's
   // build is waiting after a respawn), then a single build. Every slice
-  // this process computes shares the handle; the per-slice campaigns
-  // then skip preparation entirely.
+  // this process computes shares the handle; the slices then skip
+  // preparation entirely.
   SliceComputeOptions compute = opt.compute;
   if (compute.artifact == nullptr && opt.schedule_cache != nullptr &&
       compute.engine != fault::FaultSimEngine::FullSweep) {

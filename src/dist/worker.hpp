@@ -1,13 +1,11 @@
 // The worker half of a distributed campaign: a child process that
-// receives slice assignments over stdin, computes them through the
-// ordinary campaign machinery (checkpointing as it goes), persists
-// partial-result files, and reports over stdout.
+// receives slice assignments over stdin, fault-simulates each slice,
+// persists its partial-result file, and reports over stdout.
 //
 // A worker is deliberately stateless between slices — every durable
-// fact lives in the scratch directory (slice checkpoints while a slice
-// is in flight, partial files once it is done), so a SIGKILL at any
-// instant loses at most the work since the last checkpoint and a
-// replacement worker resumes from it. stdout carries only protocol
+// fact lives in the scratch directory as finished slices' partial
+// files, so a SIGKILL at any instant loses at most the slice in flight,
+// which the coordinator reassigns. stdout carries only protocol
 // lines (dist/protocol.hpp); diagnostics go to stderr prefixed with
 // the worker id.
 //

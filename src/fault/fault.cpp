@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/fingerprint.hpp"
 #include "rtl/linear_model.hpp"
 
 namespace fdbist::fault {
@@ -112,6 +113,47 @@ std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
                      return score(a) > score(b);
                    });
   return faults;
+}
+
+std::uint64_t fingerprint_netlist(const gate::Netlist& nl) {
+  std::uint64_t h = common::kFnvSeed;
+  h = common::fnv1a_value(h, std::uint64_t{nl.size()});
+  for (const gate::Gate& g : nl.gates()) {
+    h = common::fnv1a_value(h, static_cast<std::uint8_t>(g.op));
+    h = common::fnv1a_value(h, g.a);
+    h = common::fnv1a_value(h, g.b);
+  }
+  for (const gate::RegBit& r : nl.registers()) {
+    h = common::fnv1a_value(h, r.d);
+    h = common::fnv1a_value(h, r.q);
+  }
+  for (const auto& group : nl.inputs()) {
+    h = common::fnv1a_value(h, std::uint64_t{group.size()});
+    h = common::fnv1a(h, group.data(), group.size() * sizeof(gate::NetId));
+  }
+  for (const auto& group : nl.outputs()) {
+    h = common::fnv1a_value(h, std::uint64_t{group.size()});
+    h = common::fnv1a(h, group.data(), group.size() * sizeof(gate::NetId));
+  }
+  return h;
+}
+
+std::uint64_t fingerprint_stimulus(std::span<const std::int64_t> stimulus) {
+  std::uint64_t h = common::kFnvSeed;
+  h = common::fnv1a_value(h, std::uint64_t{stimulus.size()});
+  h = common::fnv1a(h, stimulus.data(), stimulus.size_bytes());
+  return h;
+}
+
+std::uint64_t fingerprint_faults(std::span<const Fault> faults) {
+  std::uint64_t h = common::kFnvSeed;
+  h = common::fnv1a_value(h, std::uint64_t{faults.size()});
+  for (const Fault& f : faults) {
+    h = common::fnv1a_value(h, f.gate);
+    h = common::fnv1a_value(h, static_cast<std::uint8_t>(f.site));
+    h = common::fnv1a_value(h, f.stuck);
+  }
+  return h;
 }
 
 } // namespace fdbist::fault

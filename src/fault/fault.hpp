@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,5 +59,18 @@ int bits_below_msb(const Fault& f, const gate::Netlist& nl,
 std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
                                         const gate::Netlist& nl,
                                         const rtl::Graph& g);
+
+/// FNV-1a over the netlist's simulation-relevant structure: gate
+/// (op, a, b) triples, register (d, q) pairs, and input/output bit
+/// groups. Names and origins are excluded — they cannot change verdicts.
+std::uint64_t fingerprint_netlist(const gate::Netlist& nl);
+
+/// FNV-1a over the raw stimulus words.
+std::uint64_t fingerprint_stimulus(std::span<const std::int64_t> stimulus);
+
+/// FNV-1a over the (gate, site, stuck) fault triples, order-sensitive —
+/// slice boundaries are positional, so a reordered universe must never
+/// adopt another run's slice files.
+std::uint64_t fingerprint_faults(std::span<const Fault> faults);
 
 } // namespace fdbist::fault

@@ -11,7 +11,7 @@
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
-#include "fault/checkpoint.hpp"
+#include "fault/fault.hpp"
 #include "gate/sim.hpp"
 
 namespace fdbist::fault {

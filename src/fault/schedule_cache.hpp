@@ -56,7 +56,7 @@ namespace fdbist::fault {
 
 /// Cache identity: everything the prepared state depends on. The
 /// fingerprints cover the ORIGINAL netlist, stimulus and full fault
-/// universe (fault/checkpoint.hpp hashes); pass_config is the enabled
+/// universe (fault/fault.hpp hashes); pass_config is the enabled
 /// PassOptions mask; schedule_format pins the compilation semantics so
 /// a kernel-side format bump invalidates every stale artifact. The key
 /// is deliberately lane-width- and thread-count-free: one artifact
@@ -107,7 +107,7 @@ struct CompiledArtifact {
   gate::GoodTrace trace;
 
   /// Build-time pipeline observability, credited once per design by
-  /// whoever acquires the artifact (campaign/CLI/bench), never per
+  /// whoever acquires the artifact (coordinator/CLI/bench), never per
   /// slice.
   bool ran_passes = false;
   std::uint64_t gates_before = 0;

@@ -8,7 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "fault/checkpoint.hpp"
+#include "fault/fault.hpp"
 #include "fault/kernel.hpp"
 #include "fault/schedule_cache.hpp"
 #include "gate/passes/pass.hpp"

@@ -12,8 +12,8 @@
 // One shared batch kernel serves every layer: the serial oracle
 // (fault/serial.hpp) is the kernel at one thread on the full-sweep
 // engine, the parallel engine shards the same batches across workers,
-// and campaigns (fault/campaign.hpp) slice the fault universe over
-// repeated kernel calls. Two interchangeable batch engines exist:
+// and sliced campaigns (dist/coordinator.hpp) split the fault universe
+// over repeated kernel calls. Two interchangeable batch engines exist:
 //
 //   * Compiled (default): PPSFP-style good-machine reuse. The netlist
 //     is compiled once (gate/schedule.hpp), the fault-free machine runs
@@ -347,7 +347,7 @@ struct FaultSimResult {
 /// resolved SIMD backend). Each fault's detect cycle is a pure
 /// function of (netlist, stimulus, fault) — batch composition and fault
 /// ordering never change it — which is what makes sliced/checkpointed
-/// campaigns (fault/campaign.hpp) bit-identical to one-shot runs.
+/// campaigns (dist/coordinator.hpp) bit-identical to one-shot runs.
 FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,

@@ -11,8 +11,8 @@
 // owns only the gate-level container primitives, so the gate module
 // never depends on fault types.
 //
-// Unlike the checkpoint ("FDBC") and partial-result ("FDBP") files,
-// which are native-endian local resume artifacts, an FDBA file is an
+// Unlike the slice partial-result ("FDBP") files, which are
+// native-endian local resume artifacts, an FDBA file is an
 // *interchange* format: a schedule compiled on one host feeds workers
 // on another (ROADMAP item 4), so every integer is serialized
 // little-endian explicitly and the layout is identical on every

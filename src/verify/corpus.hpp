@@ -12,7 +12,7 @@
 //
 // Version 2 records a filter case's design family and decimation
 // factor ("family <int>" / "factor <int>" after "mutate"). Version 1
-// files — unlike v1 checkpoints and distributed partials, which are
+// files — unlike v1 slice partial files, which are
 // refused — still replay: a v1 corpus case predates the family
 // dimension and can only describe a FIR, so loading defaults family 0
 // and factor 2 with no ambiguity. Writers always emit v2.

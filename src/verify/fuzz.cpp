@@ -28,11 +28,11 @@ Finding check_one(const CorpusCase& c, const std::string& scratch_dir,
   if ((property_mask & 1u) != 0)
     if (auto f = check_misr_aliasing(c.filter)) return f;
   if ((property_mask & 2u) != 0 && !scratch_dir.empty()) {
-    const std::string ckpt =
-        (std::filesystem::path(scratch_dir) / "fuzz-resume.ckpt").string();
-    auto f = check_mixed_engine_resume(c.filter, ckpt);
+    const std::string resume_dir =
+        (std::filesystem::path(scratch_dir) / "fuzz-resume").string();
+    auto f = check_mixed_engine_resume(c.filter, resume_dir);
     std::error_code ec;
-    std::filesystem::remove(ckpt, ec); // keep the scratch dir clean
+    std::filesystem::remove_all(resume_dir, ec); // keep the scratch dir clean
     if (f) return f;
   }
   if ((property_mask & 4u) != 0 && !scratch_dir.empty()) {

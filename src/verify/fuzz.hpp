@@ -82,7 +82,7 @@ struct FuzzReport {
 std::string finding_category(const std::string& detail);
 
 /// Run the full battery appropriate to a case's kind. `scratch_dir`
-/// hosts checkpoint files for the mixed-engine resume and distributed
+/// hosts the slice files of the mixed-engine resume and distributed
 /// merge properties (empty disables both). `property_mask` selects
 /// optional properties: bit 0 = MISR aliasing, bit 1 = mixed-engine
 /// resume, bit 2 = distributed-vs-offline merge equality, bit 3 =

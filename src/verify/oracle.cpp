@@ -5,7 +5,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 #include "gate/lower.hpp"
 #include "gate/sim.hpp"
@@ -310,18 +309,28 @@ Finding check_filter_case(const FilterCase& c) {
       return f;
   }
 
-  // Row 5: a sliced campaign (the checkpoint/resume execution shape,
-  // in-memory) must reproduce the one-shot verdicts exactly.
-  fault::CampaignOptions copt;
-  copt.num_threads = 1;
-  copt.checkpoint_every = 48; // forces several slices for our samples
-  auto camp = run_campaign(low.netlist, stim, faults, copt);
-  if (!camp)
-    return Finding::fail("campaign: unexpected error " +
-                         camp.error().to_string());
-  if (!camp->sim.complete)
-    return Finding::fail("campaign: stopped early with no deadline/cancel");
-  return diff_verdicts(ref, "one-shot", camp->sim, "sliced-campaign");
+  // Row 5: the sliced campaign's execution shape, in memory — one
+  // simulate_faults per sub-span, folded through the audited merge —
+  // must reproduce the one-shot verdicts exactly.
+  constexpr std::size_t kSlice = 48; // several slices for our samples
+  fault::FaultSimResult sliced;
+  sliced.total_faults = faults.size();
+  sliced.vectors = stim.size();
+  sliced.detect_cycle.assign(faults.size(), -1);
+  sliced.finalized.assign(faults.size(), 0);
+  fault::FaultSimOptions sopt;
+  sopt.num_threads = 1;
+  for (std::size_t lo = 0; lo < faults.size(); lo += kSlice) {
+    const std::span<const fault::Fault> window(
+        faults.data() + lo, std::min(kSlice, faults.size() - lo));
+    if (auto m = sliced.merge(simulate_faults(low.netlist, stim, window, sopt),
+                              lo);
+        !m)
+      return Finding::fail("sliced-campaign: " + m.error().to_string());
+  }
+  if (auto c = sliced.require_complete(); !c)
+    return Finding::fail("sliced-campaign: " + c.error().to_string());
+  return diff_verdicts(ref, "one-shot", sliced, "sliced-campaign");
 }
 
 } // namespace fdbist::verify

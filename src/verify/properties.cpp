@@ -5,7 +5,6 @@
 
 #include "bist/misr.hpp"
 #include "dist/coordinator.hpp"
-#include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 #include "fault/schedule_cache.hpp"
 #include "fixedpoint/format.hpp"
@@ -203,7 +202,7 @@ Finding check_misr_aliasing(const FilterCase& c, int misr_width) {
 }
 
 Finding check_mixed_engine_resume(const FilterCase& c,
-                                  const std::string& checkpoint_path) {
+                                  const std::string& scratch_dir) {
   const LoweredCase lc = prepare(c);
   if (lc.faults.size() < 4) return Finding::ok();
 
@@ -213,39 +212,37 @@ Finding check_mixed_engine_resume(const FilterCase& c,
   const auto ref =
       simulate_faults(lc.low.netlist, lc.stim, lc.faults, ref_opt);
 
-  // First leg: FullSweep engine, small slices, killed after the first
-  // slice has been checkpointed.
-  const std::size_t slice = std::max<std::size_t>(1, lc.faults.size() / 4);
+  // First leg: FullSweep engine, small slices, cancelled once the first
+  // slice file is saved.
   common::CancelToken token;
-  fault::CampaignOptions first;
-  first.num_threads = 1;
-  first.engine = fault::FaultSimEngine::FullSweep;
-  first.checkpoint_every = slice;
-  first.checkpoint_path = checkpoint_path;
+  dist::DistOptions first;
+  first.num_workers = 0;
+  first.dir = scratch_dir;
+  first.slice_faults = std::max<std::size_t>(1, lc.faults.size() / 4);
+  first.compute.num_threads = 1;
+  first.compute.engine = fault::FaultSimEngine::FullSweep;
   first.cancel = &token;
-  first.progress = [&](std::size_t done, std::size_t) {
-    if (done >= slice) token.cancel();
-  };
-  auto leg1 = run_campaign(lc.low.netlist, lc.stim, lc.faults, first);
+  first.progress = [&](std::size_t, std::size_t) { token.cancel(); };
+  first.verbose = false;
+  auto leg1 = dist::run_distributed(lc.low.netlist, lc.stim, lc.faults, first);
   if (!leg1)
     return Finding::fail("mixed-resume: first leg error " +
                          leg1.error().to_string());
   if (leg1->sim.complete)
-    // The kill landed after the campaign finished; nothing to resume,
+    // The cancel landed after the campaign finished; nothing to resume,
     // but the verdicts must still match the reference.
     return leg1->sim.detect_cycle == ref.detect_cycle
                ? Finding::ok()
                : Finding::fail("mixed-resume: uninterrupted campaign "
                                "diverged from one-shot verdicts");
 
-  // Second leg: resume the same checkpoint under the Compiled engine.
-  fault::CampaignOptions second;
-  second.num_threads = 1;
-  second.engine = fault::FaultSimEngine::Compiled;
-  second.checkpoint_every = slice;
-  second.checkpoint_path = checkpoint_path;
-  second.resume = true;
-  auto leg2 = run_campaign(lc.low.netlist, lc.stim, lc.faults, second);
+  // Second leg: the Compiled engine over the same slice directory.
+  dist::DistOptions second = first;
+  second.compute.engine = fault::FaultSimEngine::Compiled;
+  second.cancel = nullptr;
+  second.progress = nullptr;
+  auto leg2 =
+      dist::run_distributed(lc.low.netlist, lc.stim, lc.faults, second);
   if (!leg2)
     return Finding::fail("mixed-resume: resume leg error " +
                          leg2.error().to_string());

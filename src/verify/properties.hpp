@@ -59,13 +59,14 @@ Finding check_prefix_dominance(const FilterCase& c);
 /// to stay within a slack multiple of the expected N * 2^-width.
 Finding check_misr_aliasing(const FilterCase& c, int misr_width = 16);
 
-/// Kill/resume equality under mixed engines: run a campaign with
-/// engine A checkpointing to `checkpoint_path`, cancel it partway,
-/// resume the file with engine B, and require the merged verdicts to be
-/// bit-identical to a one-shot run. The caller owns the path (a temp
-/// file); it is overwritten and left behind on failure for post-mortem.
+/// Kill/resume equality under mixed engines: run a zero-worker
+/// campaign (dist::run_distributed) with engine A saving its slice
+/// files in `scratch_dir`, cancel it after the first slice, rerun over
+/// the same directory with engine B, and require the merged verdicts to
+/// be bit-identical to a one-shot run. The caller owns the directory
+/// (it should start empty); it is left behind for post-mortem.
 Finding check_mixed_engine_resume(const FilterCase& c,
-                                  const std::string& checkpoint_path);
+                                  const std::string& scratch_dir);
 
 /// In-kernel signature compaction vs word-compare ground truth: run the
 /// case's fault sample with FaultSimOptions::signature enabled on both

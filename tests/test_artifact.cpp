@@ -16,7 +16,7 @@
 
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
-#include "fault/campaign.hpp"
+#include "dist/coordinator.hpp"
 #include "fault/schedule_cache.hpp"
 #include "gate/artifact.hpp"
 #include "gate/lower.hpp"
@@ -372,36 +372,44 @@ TEST_F(ArtifactCache, SaveErrorFailpointAbsorbed) {
 
 TEST_F(ArtifactCache, CampaignCompilesOncePerDesign) {
   const auto& f = fixture();
-  CampaignOptions base;
-  base.num_threads = 1;
+  dist::DistOptions base;
+  base.num_workers = 0; // the campaign: every slice inline
+  base.compute.num_threads = 1;
+  base.verbose = false;
   // ~10 slices: the acceptance shape (>= 8) from ISSUE 9.
-  base.checkpoint_every = (f.faults.size() + 9) / 10;
+  base.slice_faults = (f.faults.size() + 9) / 10;
   const std::size_t slices =
-      (f.faults.size() + base.checkpoint_every - 1) / base.checkpoint_every;
+      (f.faults.size() + base.slice_faults - 1) / base.slice_faults;
   ASSERT_GE(slices, 8u);
+  auto run = [&](dist::DistOptions opt, const char* sub) {
+    opt.dir = (dir_ / sub).string();
+    return dist::run_distributed(f.low.netlist, f.stim, f.faults, opt);
+  };
 
-  auto uncached = run_campaign(f.low.netlist, f.stim, f.faults, base);
-  ASSERT_TRUE(uncached);
+  auto uncached = run(base, "uncached");
+  ASSERT_TRUE(uncached) << uncached.error().to_string();
+  EXPECT_EQ(uncached->inline_slices, slices);
   EXPECT_EQ(uncached->sim.stats.schedule_compilations, slices);
   EXPECT_EQ(uncached->sim.stats.pipeline_runs, slices);
 
   ScheduleCache::Config cfg;
   cfg.dir = dir_.string();
   ScheduleCache cache(cfg);
-  CampaignOptions copt = base;
+  dist::DistOptions copt = base;
   copt.schedule_cache = &cache;
-  auto cached = run_campaign(f.low.netlist, f.stim, f.faults, copt);
-  ASSERT_TRUE(cached);
-  EXPECT_EQ(cached->completed_slices, slices);
+  auto cached = run(copt, "cold");
+  ASSERT_TRUE(cached) << cached.error().to_string();
+  EXPECT_EQ(cached->inline_slices, slices);
   EXPECT_EQ(cached->sim.stats.schedule_compilations, 1u);
   EXPECT_EQ(cached->sim.stats.pipeline_runs, 1u);
   EXPECT_EQ(cached->sim.stats.artifact_misses, 1u);
   EXPECT_EQ(cached->sim.detect_cycle, uncached->sim.detect_cycle);
   EXPECT_EQ(cached->sim.detected, uncached->sim.detected);
 
-  // A warm re-run compiles nothing at all.
-  auto warm = run_campaign(f.low.netlist, f.stim, f.faults, copt);
-  ASSERT_TRUE(warm);
+  // A warm re-run over fresh slice files compiles nothing at all.
+  auto warm = run(copt, "warm");
+  ASSERT_TRUE(warm) << warm.error().to_string();
+  EXPECT_EQ(warm->inline_slices, slices);
   EXPECT_EQ(warm->sim.stats.schedule_compilations, 0u);
   EXPECT_EQ(warm->sim.stats.artifact_mem_hits, 1u);
   EXPECT_EQ(warm->sim.detect_cycle, uncached->sim.detect_cycle);

@@ -618,8 +618,6 @@ TEST_F(DistTest, ComputeAndSaveSliceMatchesTheReferenceWindow) {
   for (std::size_t i = 0; i < count; ++i)
     ASSERT_EQ(p->detect_cycle[i], reference().detect_cycle[lo + i])
         << "fault " << lo + i;
-  EXPECT_FALSE(std::filesystem::exists(slice_checkpoint_path(dir(), 2)))
-      << "slice checkpoint must be removed once the partial is durable";
 }
 
 TEST_F(DistTest, CorruptResultFailpointIsCaughtByTheChecksum) {
@@ -857,8 +855,8 @@ TEST_F(DistTest, SecondRunResumesEverySliceFromPartials) {
 
 TEST_F(DistTest, CrashScheduleDeterminism) {
   // Simulate arbitrary worker-crash histories: some slices already have
-  // valid partials (workers that finished, then died), one may have a
-  // half-finished slice checkpoint (killed mid-slice), the rest were
+  // valid partials (workers that finished, then died), some were
+  // cancelled mid-slice (killed before saving anything), the rest were
   // never started. Whatever the schedule, the coordinator must converge
   // to verdicts bit-identical to the one-shot reference.
   const Fixture& fx = fixture();
@@ -884,18 +882,15 @@ TEST_F(DistTest, CrashScheduleDeterminism) {
                                            fx.faults, fp, d, i, specs[i].lo,
                                            specs[i].count, sopt));
         ++precomputed;
-      } else if (roll % 3 == 0 && specs[i].count > 8) {
-        // A worker killed mid-slice leaves a checkpoint, no partial.
+      } else if (roll % 3 == 0) {
+        // A worker killed mid-slice leaves no file at all.
         common::CancelToken tok;
-        SliceComputeOptions half = sopt;
-        half.checkpoint_every = 4;
-        half.cancel = &tok;
-        half.progress = [&](std::size_t done, std::size_t) {
-          if (done >= 4) tok.cancel();
-        };
+        tok.cancel();
+        SliceComputeOptions cancelled = sopt;
+        cancelled.cancel = &tok;
         auto r = compute_and_save_slice(fx.low.netlist, fx.stim, fx.faults,
                                         fp, d, i, specs[i].lo,
-                                        specs[i].count, half);
+                                        specs[i].count, cancelled);
         EXPECT_FALSE(r) << "a cancelled slice must not report success";
         EXPECT_FALSE(std::filesystem::exists(partial_path(d, i)));
       }
@@ -1013,7 +1008,6 @@ TEST_F(DistTest, RealWorkerProcessesMatchOneShot) {
                       "--threads", "1",
                       "worker", "lp", "lfsrd", "32",
                       "--dir", dir(),
-                      "--checkpoint-every", "0",
                       "--worker-id"};
   auto res = run_distributed(kit.lowered().netlist, stim, kit.faults(),
                              dopt);

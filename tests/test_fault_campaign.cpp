@@ -1,8 +1,10 @@
-// Checkpointed, cancellable fault-sim campaigns: resume must be
-// bit-identical to an uninterrupted run (for any thread count and any
-// interruption point), unusable checkpoints must be refused with typed
-// errors, and cancellation/deadlines must yield valid partial results
-// without hanging the pool.
+// Checkpointed, cancellable fault-sim campaigns: the zero-worker mode
+// of dist::run_distributed, where each finished slice's partial file is
+// the checkpoint. Resume must be bit-identical to an uninterrupted run
+// (for any thread count, engine, SIMD width and interruption point), an
+// unusable slice file must be deleted and recomputed — never merged —
+// and cancellation/deadlines must yield valid partial results without
+// hanging the pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,8 +19,7 @@
 #include <signal.h>
 
 #include "common/failpoint.hpp"
-#include "fault/campaign.hpp"
-#include "fault/checkpoint.hpp"
+#include "dist/coordinator.hpp"
 #include "gate/lower.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
@@ -26,6 +27,9 @@
 
 namespace fdbist::fault {
 namespace {
+
+using dist::DistOptions;
+using dist::DistResult;
 
 struct Fixture {
   rtl::FilterDesign design;
@@ -35,7 +39,7 @@ struct Fixture {
 };
 
 // Small enough for fast tests, big enough that a campaign with
-// checkpoint_every=64 spans several slices.
+// 64-fault slices spans several slices.
 const Fixture& fixture() {
   static const Fixture f = [] {
     auto d = rtl::build_fir(
@@ -52,7 +56,7 @@ const Fixture& fixture() {
   return f;
 }
 
-// A second design/stimulus pair for fingerprint-mismatch tests.
+// A second design/stimulus pair for foreign-slice-file tests.
 const Fixture& other_fixture() {
   static const Fixture f = [] {
     auto d = rtl::build_fir({0.31, -0.22, 0.11, 0.05}, {}, "camp4");
@@ -67,7 +71,13 @@ const Fixture& other_fixture() {
   return f;
 }
 
-/// Fresh per-test scratch path (no checkpoint file exists yet).
+constexpr std::size_t kSlice = 64;
+
+std::size_t slice_count() {
+  return (fixture().faults.size() + kSlice - 1) / kSlice;
+}
+
+/// Fresh per-test scratch directory (no slice file exists yet).
 class CampaignTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -81,13 +91,29 @@ protected:
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string path(const char* name = "c.ckpt") const {
+  std::string path(const char* name = "slices") const {
     return (dir_ / name).string();
   }
 
 private:
   std::filesystem::path dir_;
 };
+
+/// A zero-worker campaign over `dir` in 64-fault slices.
+DistOptions campaign(const std::string& dir, std::size_t threads = 1) {
+  DistOptions opt;
+  opt.num_workers = 0;
+  opt.dir = dir;
+  opt.slice_faults = kSlice;
+  opt.compute.num_threads = threads;
+  opt.verbose = false;
+  return opt;
+}
+
+Expected<DistResult> run(const DistOptions& opt,
+                         const Fixture& f = fixture()) {
+  return dist::run_distributed(f.low.netlist, f.stim, f.faults, opt);
+}
 
 FaultSimResult uninterrupted() {
   FaultSimOptions opt;
@@ -106,139 +132,151 @@ void expect_bit_identical(const FaultSimResult& r) {
     ASSERT_EQ(r.detect_cycle[i], oracle.detect_cycle[i]) << "fault " << i;
 }
 
+/// Cancel the campaign from DistOptions::progress once `slices` slices
+/// have been saved.
+void cancel_after(DistOptions& opt, common::CancelToken& token,
+                  std::size_t slices) {
+  opt.cancel = &token;
+  opt.progress = [&token, slices, calls = std::size_t{0}](
+                     std::size_t, std::size_t) mutable {
+    if (++calls >= slices) token.cancel();
+  };
+}
+
+/// Rerun over a directory holding one damaged slice file: the file is
+/// deleted and that slice alone recomputed.
+void expect_one_slice_recomputed(const std::string& dir) {
+  auto r = run(campaign(dir));
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->resumed_slices, slice_count() - 1);
+  EXPECT_EQ(r->inline_slices, 1u);
+  expect_bit_identical(r->sim);
+}
+
 TEST_F(CampaignTest, FixtureSpansSeveralSlices) {
-  ASSERT_GT(fixture().faults.size(), std::size_t{4} * 64)
+  ASSERT_GT(fixture().faults.size(), std::size_t{4} * kSlice)
       << "fixture too small to exercise slicing";
 }
 
 TEST_F(CampaignTest, CompleteCampaignMatchesPlainEngine) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    CampaignOptions opt;
-    opt.num_threads = threads;
-    opt.checkpoint_every = 64;
-    opt.checkpoint_path = path();
-    auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                          fixture().faults, opt);
+    const std::string dir = path(("t" + std::to_string(threads)).c_str());
+    auto r = run(campaign(dir, threads));
     ASSERT_TRUE(r) << r.error().to_string();
     expect_bit_identical(r->sim);
-    EXPECT_EQ(r->completed_slices, (fixture().faults.size() + 63) / 64);
-    EXPECT_EQ(r->checkpoints_written, r->completed_slices);
+    EXPECT_EQ(r->slices, slice_count());
+    EXPECT_EQ(r->inline_slices, slice_count());
     EXPECT_FALSE(r->stop_reason.has_value());
+    for (std::size_t s = 0; s < slice_count(); ++s)
+      EXPECT_TRUE(std::filesystem::exists(dist::partial_path(dir, s))) << s;
   }
 }
 
+// The slice files are the checkpoint: loading them back reproduces the
+// campaign's verdicts exactly.
 TEST_F(CampaignTest, CheckpointRoundTrips) {
-  Checkpoint ck;
-  ck.netlist_fp = 0x1111;
-  ck.stimulus_fp = 0x2222;
-  ck.faults_fp = 0x3333;
-  ck.stimulus_len = 256;
-  ck.slice_size = 10;
-  ck.slice_finalized = {1, 0, 1};
-  ck.detect_cycle.assign(25, -1);
-  ck.detect_cycle[3] = 17;
-  ck.detect_cycle[24] = 123456;
-
-  auto saved = save_checkpoint(path(), ck);
-  ASSERT_TRUE(saved) << saved.error().to_string();
-  auto loaded = load_checkpoint(path());
-  ASSERT_TRUE(loaded) << loaded.error().to_string();
-  EXPECT_EQ(loaded->netlist_fp, ck.netlist_fp);
-  EXPECT_EQ(loaded->stimulus_fp, ck.stimulus_fp);
-  EXPECT_EQ(loaded->faults_fp, ck.faults_fp);
-  EXPECT_EQ(loaded->stimulus_len, ck.stimulus_len);
-  EXPECT_EQ(loaded->slice_size, ck.slice_size);
-  EXPECT_EQ(loaded->slice_finalized, ck.slice_finalized);
-  EXPECT_EQ(loaded->detect_cycle, ck.detect_cycle);
+  auto r = run(campaign(path()));
+  ASSERT_TRUE(r) << r.error().to_string();
+  const Fixture& fx = fixture();
+  const auto fp =
+      dist::fingerprint_universe(fx.low.netlist, fx.stim, fx.faults);
+  FaultSimResult restored;
+  restored.total_faults = fx.faults.size();
+  restored.vectors = fx.stim.size();
+  restored.detect_cycle.assign(fx.faults.size(), -1);
+  restored.finalized.assign(fx.faults.size(), 0);
+  for (std::size_t s = 0; s < slice_count(); ++s) {
+    const std::size_t lo = s * kSlice;
+    const std::size_t count = std::min(kSlice, fx.faults.size() - lo);
+    auto p = dist::load_partial(dist::partial_path(path(), s));
+    ASSERT_TRUE(p) << p.error().to_string();
+    ASSERT_TRUE(dist::validate_partial(*p, fp, fx.faults.size(),
+                                       fx.stim.size(), lo, count));
+    ASSERT_TRUE(dist::merge_partial(restored, *p));
+  }
+  ASSERT_TRUE(restored.require_complete());
+  EXPECT_EQ(restored.detect_cycle, r->sim.detect_cycle);
+  EXPECT_EQ(restored.detected, r->sim.detected);
 }
 
-// The core robustness guarantee: cancel a campaign at several points
-// (simulating a kill), then resume from the checkpoint file — the final
+// The core robustness guarantee: cancel a campaign after k slices
+// (simulating a kill), then rerun over the same directory — the final
 // result must be bit-identical to an uninterrupted run, single- and
-// multi-threaded.
+// multi-threaded, and exactly the k saved slices are adopted.
 TEST_F(CampaignTest, ResumeEqualsUninterruptedAtEveryCutPoint) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t cut : {std::size_t{1}, std::size_t{2},
                                   std::size_t{5}}) {
-      const std::string file =
+      const std::string dir =
           path(("cut" + std::to_string(threads) + "_" + std::to_string(cut))
                    .c_str());
 
       common::CancelToken token;
-      CampaignOptions opt;
-      opt.num_threads = threads;
-      opt.checkpoint_every = 64;
-      opt.checkpoint_path = file;
-      opt.cancel = &token;
-      std::size_t calls = 0;
-      opt.progress = [&](std::size_t, std::size_t) {
-        if (++calls >= cut) token.cancel();
-      };
-      auto first = run_campaign(fixture().low.netlist, fixture().stim,
-                                fixture().faults, opt);
+      DistOptions opt = campaign(dir, threads);
+      cancel_after(opt, token, cut);
+      auto first = run(opt);
       ASSERT_TRUE(first) << first.error().to_string();
       ASSERT_FALSE(first->sim.complete)
           << "cut " << cut << " did not interrupt the campaign";
       EXPECT_EQ(first->stop_reason, ErrorCode::Cancelled);
+      EXPECT_EQ(first->inline_slices, cut);
+      // Coverage-so-far counts finished slices only.
+      EXPECT_EQ(first->sim.finalized_count(), cut * kSlice);
 
-      CampaignOptions resume_opt;
-      resume_opt.num_threads = threads;
-      resume_opt.checkpoint_every = 64;
-      resume_opt.checkpoint_path = file;
-      resume_opt.resume = true;
-      auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
-                                  fixture().faults, resume_opt);
+      auto resumed = run(campaign(dir, threads));
       ASSERT_TRUE(resumed) << resumed.error().to_string();
-      EXPECT_EQ(resumed->resumed_slices, first->completed_slices)
-          << "resume must pick up exactly the finalized slices";
+      EXPECT_EQ(resumed->resumed_slices, cut)
+          << "resume must pick up exactly the saved slices";
+      EXPECT_EQ(resumed->inline_slices, slice_count() - cut);
       expect_bit_identical(resumed->sim);
     }
   }
 }
 
-// Satellite of the verification PR: a checkpoint written under one
-// FaultSimEngine must be resumable under the other. Verdicts are pure
-// functions of (netlist, stimulus, fault) — the engine is deliberately
-// excluded from the checkpoint fingerprint — so every cross-engine
-// combination must merge to the bit-identical uninterrupted result.
+// Verdicts are pure functions of (netlist, stimulus, fault) — neither
+// the engine nor the SIMD backend is part of a slice file's identity —
+// so a campaign cut short under one configuration and resumed under
+// another must merge to the bit-identical uninterrupted result.
 TEST_F(CampaignTest, ResumeUnderADifferentEngineIsBitIdentical) {
   using Engine = FaultSimEngine;
-  for (const auto& [first_engine, resume_engine] :
-       {std::pair{Engine::FullSweep, Engine::Compiled},
-        std::pair{Engine::Compiled, Engine::FullSweep},
-        std::pair{Engine::FullSweep, Engine::Auto}}) {
-    const std::string file = path(
-        (std::string("mixed_") + fault_sim_engine_name(first_engine) + "_" +
-         fault_sim_engine_name(resume_engine))
-            .c_str());
+  using Simd = common::SimdBackend;
+  struct Leg {
+    Engine engine;
+    Simd simd;
+  };
+  int n = 0;
+  for (const auto& [first_leg, resume_leg] :
+       {std::pair{Leg{Engine::FullSweep, Simd::Auto},
+                  Leg{Engine::Compiled, Simd::Auto}},
+        std::pair{Leg{Engine::Compiled, Simd::Auto},
+                  Leg{Engine::FullSweep, Simd::Auto}},
+        std::pair{Leg{Engine::FullSweep, Simd::Auto},
+                  Leg{Engine::Auto, Simd::Auto}},
+        std::pair{Leg{Engine::Compiled, Simd::Scalar},
+                  Leg{Engine::Compiled, Simd::Auto}}}) {
+    const std::string dir = path(("mixed" + std::to_string(n++)).c_str());
 
     common::CancelToken token;
-    CampaignOptions opt;
-    opt.num_threads = 1;
-    opt.engine = first_engine;
-    opt.checkpoint_every = 64;
-    opt.checkpoint_path = file;
-    opt.cancel = &token;
-    std::size_t calls = 0;
-    opt.progress = [&](std::size_t, std::size_t) {
-      if (++calls >= 2) token.cancel();
-    };
-    auto first = run_campaign(fixture().low.netlist, fixture().stim,
-                              fixture().faults, opt);
+    DistOptions opt = campaign(dir);
+    opt.compute.engine = first_leg.engine;
+    opt.compute.simd = first_leg.simd;
+    cancel_after(opt, token, 2);
+    auto first = run(opt);
     ASSERT_TRUE(first) << first.error().to_string();
     ASSERT_FALSE(first->sim.complete);
-    EXPECT_EQ(first->sim.stats.engine, first_engine);
+    EXPECT_EQ(first->sim.stats.engine, first_leg.engine == Engine::Auto
+                                           ? Engine::Compiled
+                                           : first_leg.engine);
+    if (first_leg.simd == Simd::Scalar) {
+      EXPECT_EQ(first->sim.stats.lane_width, 64u);
+    }
 
-    CampaignOptions resume_opt;
-    resume_opt.num_threads = 2;
-    resume_opt.engine = resume_engine;
-    resume_opt.checkpoint_every = 64;
-    resume_opt.checkpoint_path = file;
-    resume_opt.resume = true;
-    auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
-                                fixture().faults, resume_opt);
+    DistOptions resume_opt = campaign(dir, 2);
+    resume_opt.compute.engine = resume_leg.engine;
+    resume_opt.compute.simd = resume_leg.simd;
+    auto resumed = run(resume_opt);
     ASSERT_TRUE(resumed) << resumed.error().to_string();
-    EXPECT_EQ(resumed->resumed_slices, first->completed_slices);
+    EXPECT_EQ(resumed->resumed_slices, 2u);
     expect_bit_identical(resumed->sim);
   }
 }
@@ -246,12 +284,9 @@ TEST_F(CampaignTest, ResumeUnderADifferentEngineIsBitIdentical) {
 TEST_F(CampaignTest, EngineOptionIsForwardedToEachSlice) {
   for (const auto engine :
        {FaultSimEngine::FullSweep, FaultSimEngine::Compiled}) {
-    CampaignOptions opt;
-    opt.num_threads = 1;
-    opt.engine = engine;
-    opt.checkpoint_every = 64;
-    auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                          fixture().faults, opt);
+    DistOptions opt = campaign(path(fault_sim_engine_name(engine)));
+    opt.compute.engine = engine;
+    auto r = run(opt);
     ASSERT_TRUE(r) << r.error().to_string();
     EXPECT_EQ(r->sim.stats.engine, engine);
     if (engine == FaultSimEngine::FullSweep)
@@ -263,94 +298,72 @@ TEST_F(CampaignTest, EngineOptionIsForwardedToEachSlice) {
 }
 
 TEST_F(CampaignTest, ResumeOfCompletedCampaignIsIdenticalAndRunsNothing) {
-  CampaignOptions opt;
-  opt.num_threads = 2;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path();
-  auto first = run_campaign(fixture().low.netlist, fixture().stim,
-                            fixture().faults, opt);
+  auto first = run(campaign(path(), 2));
   ASSERT_TRUE(first);
   ASSERT_TRUE(first->sim.complete);
 
-  opt.resume = true;
-  auto again = run_campaign(fixture().low.netlist, fixture().stim,
-                            fixture().faults, opt);
+  auto again = run(campaign(path(), 2));
   ASSERT_TRUE(again);
-  EXPECT_EQ(again->completed_slices, 0u);
-  EXPECT_EQ(again->checkpoints_written, 0u);
+  EXPECT_EQ(again->inline_slices, 0u);
+  EXPECT_EQ(again->resumed_slices, slice_count());
+  EXPECT_EQ(again->sim.stats.batches, 0u);
   expect_bit_identical(again->sim);
 }
 
 TEST_F(CampaignTest, MissingCheckpointWithResumeIsAFreshStart) {
-  CampaignOptions opt;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path("never_written.ckpt");
-  opt.resume = true;
-  auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                        fixture().faults, opt);
+  auto r = run(campaign(path("never_written")));
   ASSERT_TRUE(r) << r.error().to_string();
   EXPECT_EQ(r->resumed_slices, 0u);
   expect_bit_identical(r->sim);
 }
 
-Expected<CampaignResult> resume_from(const std::string& file) {
-  CampaignOptions opt;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = file;
-  opt.resume = true;
-  return run_campaign(fixture().low.netlist, fixture().stim,
-                      fixture().faults, opt);
-}
-
-/// Write a complete valid checkpoint for the fixture and return its path.
-std::string write_valid_checkpoint(const std::string& file) {
-  CampaignOptions opt;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = file;
-  auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                        fixture().faults, opt);
-  EXPECT_TRUE(r);
-  return file;
-}
-
 TEST_F(CampaignTest, TruncatedCheckpointIsCorrupt) {
-  const auto file = write_valid_checkpoint(path());
+  ASSERT_TRUE(run(campaign(path())));
+  const std::string file = dist::partial_path(path(), 1);
   const auto full_size = std::filesystem::file_size(file);
   for (const std::uintmax_t keep :
        {std::uintmax_t{0}, std::uintmax_t{10}, std::uintmax_t{70},
         full_size - 1}) {
     std::filesystem::resize_file(file, keep);
-    auto r = resume_from(file);
-    ASSERT_FALSE(r) << "kept " << keep << " of " << full_size << " bytes";
-    EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint) << keep;
+    auto loaded = dist::load_partial(file);
+    ASSERT_FALSE(loaded) << "kept " << keep << " of " << full_size
+                         << " bytes";
+    EXPECT_EQ(loaded.error().code, ErrorCode::CorruptCheckpoint) << keep;
+    expect_one_slice_recomputed(path());
+    EXPECT_EQ(std::filesystem::file_size(file), full_size)
+        << "the recomputed slice must be saved again";
   }
 }
 
 TEST_F(CampaignTest, CorruptedMagicAndVersionAreRefused) {
-  const auto file = write_valid_checkpoint(path());
+  ASSERT_TRUE(run(campaign(path())));
+  const std::string file = dist::partial_path(path(), 0);
   {
     std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
     f.write("NOPE", 4); // clobber magic
   }
-  auto bad_magic = resume_from(file);
+  auto bad_magic = dist::load_partial(file);
   ASSERT_FALSE(bad_magic);
   EXPECT_EQ(bad_magic.error().code, ErrorCode::CorruptCheckpoint);
+  EXPECT_NE(bad_magic.error().message.find("magic"), std::string::npos);
+  expect_one_slice_recomputed(path());
 
-  write_valid_checkpoint(file);
   {
     std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(4);
     const std::uint32_t future = 999;
     f.write(reinterpret_cast<const char*>(&future), sizeof future);
   }
-  auto bad_version = resume_from(file);
+  auto bad_version = dist::load_partial(file);
   ASSERT_FALSE(bad_version);
   EXPECT_EQ(bad_version.error().code, ErrorCode::CorruptCheckpoint);
   EXPECT_NE(bad_version.error().message.find("version"), std::string::npos);
+  expect_one_slice_recomputed(path());
 }
 
 TEST_F(CampaignTest, FlippedPayloadByteFailsChecksum) {
-  const auto file = write_valid_checkpoint(path());
+  ASSERT_TRUE(run(campaign(path())));
+  const std::string file = dist::partial_path(path(), 0);
   {
     std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(100);
@@ -360,51 +373,55 @@ TEST_F(CampaignTest, FlippedPayloadByteFailsChecksum) {
     f.seekp(100);
     f.write(&x, 1);
   }
-  auto r = resume_from(file);
-  ASSERT_FALSE(r);
-  EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint);
-  EXPECT_NE(r.error().message.find("checksum"), std::string::npos);
+  auto loaded = dist::load_partial(file);
+  ASSERT_FALSE(loaded);
+  EXPECT_EQ(loaded.error().code, ErrorCode::CorruptCheckpoint);
+  EXPECT_NE(loaded.error().message.find("checksum"), std::string::npos);
+  expect_one_slice_recomputed(path());
+}
+
+/// Rerun over a directory of foreign slice files: none may be merged,
+/// every slice is recomputed, and the result is the one-shot one.
+void expect_all_recomputed(const DistOptions& opt) {
+  auto r = run(opt);
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->resumed_slices, 0u) << "a foreign slice file was merged";
+  EXPECT_EQ(r->inline_slices, r->slices);
+  expect_bit_identical(r->sim);
 }
 
 TEST_F(CampaignTest, ForeignCheckpointsAreRefusedWithFingerprintMismatch) {
-  // Checkpoint written by a different *design*.
+  const Fixture& fx = fixture();
+  const auto fp =
+      dist::fingerprint_universe(fx.low.netlist, fx.stim, fx.faults);
+  // Slice files written by a different *design*.
   {
-    CampaignOptions opt;
-    opt.checkpoint_every = 64;
-    opt.checkpoint_path = path("foreign_design.ckpt");
-    auto r = run_campaign(other_fixture().low.netlist, other_fixture().stim,
-                          other_fixture().faults, opt);
-    ASSERT_TRUE(r);
-    auto refused = resume_from(opt.checkpoint_path);
+    const std::string dir = path("foreign_design");
+    ASSERT_TRUE(run(campaign(dir), other_fixture()));
+    auto p = dist::load_partial(dist::partial_path(dir, 0));
+    ASSERT_TRUE(p);
+    auto refused = dist::validate_partial(*p, fp, fx.faults.size(),
+                                          fx.stim.size(), 0, kSlice);
     ASSERT_FALSE(refused);
     EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
+    expect_all_recomputed(campaign(dir));
   }
   // Same design, different *stimulus*.
   {
-    CampaignOptions opt;
-    opt.checkpoint_every = 64;
-    opt.checkpoint_path = path("foreign_stim.ckpt");
+    const std::string dir = path("foreign_stim");
     auto gen = tpg::make_generator(tpg::GeneratorKind::Ramp, 12);
     const auto other_stim = gen->generate_raw(256);
-    auto r = run_campaign(fixture().low.netlist, other_stim,
-                          fixture().faults, opt);
-    ASSERT_TRUE(r);
-    auto refused = resume_from(opt.checkpoint_path);
-    ASSERT_FALSE(refused);
-    EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
-    EXPECT_NE(refused.error().message.find("stimulus"), std::string::npos);
+    ASSERT_TRUE(dist::run_distributed(fx.low.netlist, other_stim, fx.faults,
+                                      campaign(dir)));
+    expect_all_recomputed(campaign(dir));
   }
   // Same campaign, different slice geometry.
   {
-    const auto file = write_valid_checkpoint(path("geometry.ckpt"));
-    CampaignOptions opt;
-    opt.checkpoint_every = 32; // was written with 64
-    opt.checkpoint_path = file;
-    opt.resume = true;
-    auto refused = run_campaign(fixture().low.netlist, fixture().stim,
-                                fixture().faults, opt);
-    ASSERT_FALSE(refused);
-    EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
+    const std::string dir = path("geometry");
+    ASSERT_TRUE(run(campaign(dir)));
+    DistOptions opt = campaign(dir);
+    opt.slice_faults = kSlice / 2;
+    expect_all_recomputed(opt);
   }
 }
 
@@ -415,44 +432,35 @@ SignatureOptions test_signature(int width) {
   return sig;
 }
 
-TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
-  // Signature verdicts ride in the checkpoint next to detect_cycle, so
-  // a campaign cancelled mid-flight and resumed must reproduce BOTH
-  // verdict sets of a one-shot signature run bit-for-bit.
-  const SignatureOptions sig = test_signature(10);
+FaultSimResult one_shot_signature(int width) {
   FaultSimOptions sopt;
   sopt.num_threads = 1;
-  sopt.signature = sig;
-  const auto oracle = simulate_faults(fixture().low.netlist, fixture().stim,
-                                      fixture().faults, sopt);
+  sopt.signature = test_signature(width);
+  return simulate_faults(fixture().low.netlist, fixture().stim,
+                         fixture().faults, sopt);
+}
+
+TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
+  // Signature verdicts ride in the slice files next to detect_cycle, so
+  // a campaign cancelled mid-flight and resumed must reproduce BOTH
+  // verdict sets of a one-shot signature run bit-for-bit.
+  const auto oracle = one_shot_signature(10);
   ASSERT_EQ(oracle.signature_detect.size(), fixture().faults.size());
   ASSERT_GT(oracle.signature_detected(), 0u);
 
   common::CancelToken token;
-  CampaignOptions opt;
-  opt.num_threads = 1;
-  opt.signature = sig;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path();
-  opt.cancel = &token;
-  std::size_t calls = 0;
-  opt.progress = [&](std::size_t, std::size_t) {
-    if (++calls >= 2) token.cancel();
-  };
-  auto first = run_campaign(fixture().low.netlist, fixture().stim,
-                            fixture().faults, opt);
+  DistOptions opt = campaign(path());
+  opt.compute.signature = test_signature(10);
+  cancel_after(opt, token, 2);
+  auto first = run(opt);
   ASSERT_TRUE(first) << first.error().to_string();
   ASSERT_FALSE(first->sim.complete);
 
-  CampaignOptions resume_opt;
-  resume_opt.num_threads = 2;
-  resume_opt.signature = sig;
-  resume_opt.checkpoint_every = 64;
-  resume_opt.checkpoint_path = path();
-  resume_opt.resume = true;
-  auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
-                              fixture().faults, resume_opt);
+  DistOptions resume_opt = campaign(path(), 2);
+  resume_opt.compute.signature = test_signature(10);
+  auto resumed = run(resume_opt);
   ASSERT_TRUE(resumed) << resumed.error().to_string();
+  EXPECT_EQ(resumed->resumed_slices, 2u);
   EXPECT_TRUE(resumed->sim.complete);
   EXPECT_EQ(resumed->sim.detect_cycle, oracle.detect_cycle);
   EXPECT_EQ(resumed->sim.signature_detect, oracle.signature_detect);
@@ -462,95 +470,53 @@ TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
 
 TEST_F(CampaignTest, ForeignFamilyTagIsRefusedOnResume) {
   // Identical netlist/stimulus/faults, different declared design family:
-  // the family tag is part of the checkpoint audit precisely because
+  // the family tag is part of a slice file's identity precisely because
   // the structural fingerprints cannot tell such twins apart.
-  CampaignOptions opt;
-  opt.family = 1;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path();
-  ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
-                           fixture().faults, opt));
+  DistOptions opt = campaign(path());
+  opt.compute.family = 1;
+  ASSERT_TRUE(run(opt));
 
-  CampaignOptions other = opt;
-  other.family = 2;
-  other.resume = true;
-  auto refused = run_campaign(fixture().low.netlist, fixture().stim,
-                              fixture().faults, other);
-  ASSERT_FALSE(refused);
-  EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
-  EXPECT_NE(refused.error().message.find("family"), std::string::npos);
+  opt.compute.family = 2;
+  expect_all_recomputed(opt);
+  auto p = dist::load_partial(dist::partial_path(path(), 0));
+  ASSERT_TRUE(p);
+  EXPECT_EQ(p->fp.family, 2u) << "the foreign file must have been replaced";
 }
 
 TEST_F(CampaignTest, ForeignSignatureConfigurationIsRefusedOnResume) {
-  CampaignOptions opt;
-  opt.signature = test_signature(10);
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path();
-  ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
-                           fixture().faults, opt));
+  DistOptions opt = campaign(path());
+  opt.compute.signature = test_signature(10);
+  ASSERT_TRUE(run(opt));
 
   // A different MISR width changes the verdict set.
-  CampaignOptions wider = opt;
-  wider.signature = test_signature(12);
-  wider.resume = true;
-  auto refused = run_campaign(fixture().low.netlist, fixture().stim,
-                              fixture().faults, wider);
-  ASSERT_FALSE(refused);
-  EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
+  DistOptions wider = opt;
+  wider.compute.signature = test_signature(12);
+  auto r = run(wider);
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->resumed_slices, 0u);
+  EXPECT_EQ(r->sim.signature_detect, one_shot_signature(12).signature_detect);
 
   // So does dropping compaction entirely.
-  CampaignOptions plain = opt;
-  plain.signature = {};
-  plain.resume = true;
-  refused = run_campaign(fixture().low.netlist, fixture().stim,
-                         fixture().faults, plain);
-  ASSERT_FALSE(refused);
-  EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
+  DistOptions plain = opt;
+  plain.compute.signature = {};
+  expect_all_recomputed(plain);
 }
 
 TEST_F(CampaignTest, DeadlineYieldsPartialResultAndReason) {
-  CampaignOptions opt;
-  opt.num_threads = 4;
-  opt.checkpoint_every = 64;
+  DistOptions opt = campaign(path(), 4);
   opt.deadline_s = 1e-9; // expires immediately; workers must still join
-  auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                        fixture().faults, opt);
+  auto r = run(opt);
   ASSERT_TRUE(r);
   EXPECT_FALSE(r->sim.complete);
   EXPECT_EQ(r->stop_reason, ErrorCode::DeadlineExceeded);
   EXPECT_EQ(r->sim.total_faults, fixture().faults.size());
-  // Coverage-so-far is consistent: detected counts only real verdicts.
+  // Coverage-so-far is consistent: it covers finished slices only, and
+  // detected counts only real verdicts.
+  EXPECT_EQ(r->sim.finalized_count(), r->inline_slices * kSlice);
   std::size_t detected = 0;
   for (const std::int32_t c : r->sim.detect_cycle)
     if (c >= 0) ++detected;
   EXPECT_EQ(r->sim.detected, detected);
-}
-
-TEST_F(CampaignTest, ExternalCancelStopsTheMatrixRunner) {
-  const Fixture& fx = fixture();
-  const Fixture& other = other_fixture();
-  std::vector<CampaignJob> jobs;
-  jobs.push_back({"a/one", &fx.low.netlist, fx.faults, fx.stim});
-  jobs.push_back({"b:two", &other.low.netlist, other.faults, other.stim});
-
-  CampaignOptions opt;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_path = path("matrix");
-  auto all = run_campaigns(jobs, opt);
-  ASSERT_TRUE(all) << all.error().to_string();
-  ASSERT_EQ(all->size(), 2u);
-  EXPECT_TRUE((*all)[0].sim.complete);
-  EXPECT_TRUE((*all)[1].sim.complete);
-  // Labels are sanitized into distinct checkpoint files.
-  EXPECT_TRUE(std::filesystem::exists(path("matrix/a_one.ckpt")));
-  EXPECT_TRUE(std::filesystem::exists(path("matrix/b_two.ckpt")));
-
-  common::CancelToken token;
-  token.cancel();
-  opt.cancel = &token;
-  auto cancelled = run_campaigns(jobs, opt);
-  ASSERT_TRUE(cancelled);
-  EXPECT_TRUE(cancelled->empty()) << "pre-cancelled matrix must not start";
 }
 
 TEST_F(CampaignTest, OversizedStimulusIsRefusedLoudly) {
@@ -566,88 +532,92 @@ TEST_F(CampaignTest, OversizedStimulusIsRefusedLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash consistency of the atomic checkpoint write. Each death test
-// SIGKILLs a forked child at one failpoint seam inside
-// save_checkpoint and then audits the filesystem the child left
+// Crash consistency of the atomic slice-file write. Each death test
+// SIGKILLs a forked child at one "partial-*" failpoint seam inside
+// dist::save_partial and then audits the filesystem the child left
 // behind: at no seam may a torn or half-renamed file ever load.
 
 class CampaignDeathTest : public CampaignTest {};
 
-Checkpoint tagged_checkpoint(std::int32_t tag) {
-  Checkpoint ck;
-  ck.netlist_fp = 1;
-  ck.stimulus_fp = 2;
-  ck.faults_fp = 3;
-  ck.stimulus_len = 16;
-  ck.slice_size = 4;
-  ck.slice_finalized = {1, 1};
-  ck.detect_cycle.assign(8, tag);
-  return ck;
+dist::SlicePartial tagged_partial(std::int32_t tag) {
+  dist::SlicePartial p;
+  p.fp = {1, 2, 3};
+  p.total_faults = 16;
+  p.vectors = 16;
+  p.lo = 0;
+  p.detect_cycle.assign(8, tag);
+  return p;
 }
 
 TEST_F(CampaignDeathTest, TornWriteNeverYieldsALoadableFile) {
-  const std::string p = path();
-  const Checkpoint ck = tagged_checkpoint(11);
+  const std::string p = path("slice.part");
+  const auto part = tagged_partial(11);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-torn-write=crash");
-        (void)save_checkpoint(p, ck);
+        (void)common::failpoint_configure("partial-torn-write=crash");
+        (void)dist::save_partial(p, part);
       },
       ::testing::KilledBySignal(SIGKILL), "");
   EXPECT_FALSE(std::filesystem::exists(p))
       << "a crash before the rename must leave the target untouched";
-  EXPECT_FALSE(load_checkpoint(p));
+  EXPECT_FALSE(dist::load_partial(p));
   // The half-written tmp file, if present, must refuse to load too.
   if (std::filesystem::exists(p + ".tmp")) {
-    EXPECT_FALSE(load_checkpoint(p + ".tmp"));
+    EXPECT_FALSE(dist::load_partial(p + ".tmp"));
   }
 }
 
+// A campaign killed while saving its first slice leaves no slice file,
+// and the rerun computes everything from scratch.
 TEST_F(CampaignDeathTest, CrashBeforeRenameLeavesNoCheckpoint) {
-  const std::string p = path();
-  const Checkpoint ck = tagged_checkpoint(22);
+  const std::string dir = path();
+  ASSERT_FALSE(fixture().faults.empty()); // build the fixture pre-fork
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-before-rename=crash");
-        (void)save_checkpoint(p, ck);
+        (void)common::failpoint_configure("partial-before-rename=crash");
+        (void)run(campaign(dir));
       },
       ::testing::KilledBySignal(SIGKILL), "");
-  EXPECT_FALSE(std::filesystem::exists(p));
-  EXPECT_FALSE(load_checkpoint(p));
+  EXPECT_FALSE(std::filesystem::exists(dist::partial_path(dir, 0)));
+  EXPECT_FALSE(dist::load_partial(dist::partial_path(dir, 0)));
+  auto r = run(campaign(dir));
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->resumed_slices, 0u);
+  expect_bit_identical(r->sim);
 }
 
 TEST_F(CampaignDeathTest, CrashBeforeRenameKeepsThePreviousCheckpoint) {
-  const std::string p = path();
-  const Checkpoint old_ck = tagged_checkpoint(33);
-  ASSERT_TRUE(save_checkpoint(p, old_ck));
-  const Checkpoint new_ck = tagged_checkpoint(44);
+  const std::string p = path("slice.part");
+  const auto old_part = tagged_partial(33);
+  ASSERT_TRUE(dist::save_partial(p, old_part));
+  const auto new_part = tagged_partial(44);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-before-rename=crash");
-        (void)save_checkpoint(p, new_ck);
+        (void)common::failpoint_configure("partial-before-rename=crash");
+        (void)dist::save_partial(p, new_part);
       },
       ::testing::KilledBySignal(SIGKILL), "");
-  auto survivor = load_checkpoint(p);
-  ASSERT_TRUE(survivor) << "previous good checkpoint must still load: "
+  auto survivor = dist::load_partial(p);
+  ASSERT_TRUE(survivor) << "previous good slice file must still load: "
                         << survivor.error().to_string();
-  EXPECT_EQ(survivor->detect_cycle, old_ck.detect_cycle)
+  EXPECT_EQ(survivor->detect_cycle, old_part.detect_cycle)
       << "the interrupted save must not have replaced the old content";
 }
 
 TEST_F(CampaignDeathTest, CrashAfterRenameIsDurable) {
-  const std::string p = path();
-  const Checkpoint ck = tagged_checkpoint(55);
+  const std::string p = path("slice.part");
+  const auto part = tagged_partial(55);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-after-rename=crash");
-        (void)save_checkpoint(p, ck);
+        (void)common::failpoint_configure("partial-after-rename=crash");
+        (void)dist::save_partial(p, part);
       },
       ::testing::KilledBySignal(SIGKILL), "");
-  auto loaded = load_checkpoint(p);
-  ASSERT_TRUE(loaded) << "a renamed checkpoint is committed: "
+  auto loaded = dist::load_partial(p);
+  ASSERT_TRUE(loaded) << "a renamed slice file is committed: "
                       << loaded.error().to_string();
-  EXPECT_EQ(loaded->detect_cycle, ck.detect_cycle);
-  EXPECT_EQ(loaded->slice_finalized, ck.slice_finalized);
+  EXPECT_EQ(loaded->detect_cycle, part.detect_cycle);
+  EXPECT_EQ(loaded->lo, part.lo);
 }
 
 } // namespace

@@ -15,6 +15,13 @@ struct Case {
   std::size_t vectors;
 };
 
+// Names the case in test output and test IDs; the default byte dump would
+// print the heap address of `coefs` and so differ from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << tpg::kind_name(c.gen) << ", " << c.coefs.size() << " taps, "
+      << c.vectors << " vectors";
+}
+
 class SerialVsParallel : public ::testing::TestWithParam<Case> {};
 
 TEST_P(SerialVsParallel, IdenticalDetectionCycles) {

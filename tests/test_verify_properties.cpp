@@ -74,9 +74,9 @@ TEST_F(VerifyPropertyTest, MixedEngineResumeIsBitIdentical) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     const std::uint64_t seed = common::test_seed(840 + i);
     const Finding f = check_mixed_engine_resume(
-        random_filter_case(seed), path("resume.ckpt"));
+        random_filter_case(seed), path("resume"));
     EXPECT_FALSE(f.failed) << f.detail << "; " << common::seed_note(seed);
-    std::filesystem::remove(path("resume.ckpt"));
+    std::filesystem::remove_all(path("resume"));
   }
 }
 
