@@ -1,5 +1,6 @@
 #include "bist/kit.hpp"
 
+#include "common/bits.hpp"
 #include "common/check.hpp"
 #include "gate/sim.hpp"
 
@@ -17,14 +18,25 @@ BistKit::BistKit(const rtl::FilterDesign& design, int misr_width)
 
 std::vector<std::int64_t> BistKit::golden_response(
     std::span<const std::int64_t> stimulus) const {
-  gate::WordSim sim(lowered_.netlist);
+  // The time-parallel good machine, reading only the output bits: one
+  // 64x64 transpose per step turns the output nets' lane words into
+  // one output word per lane (= per cycle). No trace is built.
+  const gate::CompiledSchedule sched(lowered_.netlist);
   const auto& out_bits = lowered_.netlist.outputs().front();
-  std::vector<std::int64_t> out;
-  out.reserve(stimulus.size());
-  for (const std::int64_t x : stimulus) {
-    sim.step_broadcast(x);
-    out.push_back(sim.lane_value(out_bits, 0));
-  }
+  const int width = static_cast<int>(out_bits.size());
+  FDBIST_REQUIRE(width <= 64, "output wider than a response word");
+  const std::size_t cycles = stimulus.size();
+  const std::size_t seg = gate::sweep_segment_length(cycles);
+  std::vector<std::int64_t> out(cycles);
+  gate::sweep_good_machine(
+      sched, stimulus, cycles, [&](std::size_t s, const gate::WordSim& sim) {
+        std::uint64_t blk[64] = {};
+        for (std::size_t j = 0; j < out_bits.size(); ++j)
+          blk[j] = sim.net(out_bits[j]);
+        transpose64(blk);
+        for (std::size_t k = 0; k * seg + s < cycles; ++k)
+          out[k * seg + s] = sign_extend(blk[k], width);
+      });
   return out;
 }
 

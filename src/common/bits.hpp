@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -56,6 +57,20 @@ constexpr std::size_t ceil_pow2(std::size_t v) {
 /// Bit `i` of word `w` as 0/1.
 constexpr std::uint64_t bit_of(std::uint64_t w, int i) {
   return (w >> i) & 1u;
+}
+
+/// In-place 64x64 bit-matrix transpose: afterwards bit j of a[k] is what
+/// bit k of a[j] was. Six rounds of block swaps (32x32 blocks down to
+/// 1x1); round j swaps the off-diagonal j-bit halves of rows k and k+j.
+constexpr void transpose64(std::span<std::uint64_t, 64> a) {
+  std::uint64_t m = 0x00000000FFFFFFFFull; // low half of each 2j-bit block
+  for (int j = 32; j != 0; j >>= 1, m ^= m << j)
+    for (int k0 = 0; k0 < 64; k0 += 2 * j)
+      for (int k = k0; k < k0 + j; ++k) {
+        const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+        a[k] ^= t << j;
+        a[k + j] ^= t;
+      }
 }
 
 } // namespace fdbist

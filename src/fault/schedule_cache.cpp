@@ -52,8 +52,8 @@ Expected<std::vector<std::uint8_t>> read_file(const std::string& path) {
 /// never be used, so don't build (or retain) one.
 constexpr std::size_t kArtifactTraceCap = std::size_t{512} << 20;
 
-template <typename T>
-std::size_t vector_bytes(const std::vector<T>& v) {
+template <typename T, typename A>
+std::size_t vector_bytes(const std::vector<T, A>& v) {
   return v.capacity() * sizeof(T);
 }
 

@@ -198,8 +198,8 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   //     only remaps its faults (a subset of the artifact's keyed
   //     universe) through the artifact's retarget map. Pipeline stats
   //     are credited by whoever built the artifact, never here.
-  //   * Scratch path: the historical per-call pipeline + compile +
-  //     per-pass trace recording, now with a prep-time breakdown.
+  //   * Scratch path: the per-call pipeline + compile + one trace
+  //     recording, with a prep-time breakdown.
   //
   // FullSweep ignores the artifact and stays the unoptimized reference.
   const CompiledArtifact* art =
@@ -293,6 +293,25 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
     opt.progress(progress_done, faults.size());
   };
 
+  // The compiled engine's good trace covers the full stimulus and is
+  // recorded once per call, before stage 1: batch kernels only read row
+  // prefixes, so one trace serves every budget. The artifact path
+  // carries it prebuilt and records nothing, which is exactly the time
+  // that path saves.
+  std::optional<gate::GoodTrace> trace;
+  const gate::GoodTrace* trace_ptr = nullptr;
+  if (engine == FaultSimEngine::Compiled && !faults.empty()) {
+    if (art != nullptr) {
+      trace_ptr = &art->trace;
+    } else {
+      const std::uint64_t t0 = now_ns();
+      trace = gate::record_good_trace(sched, stimulus, stimulus.size());
+      result.stats.prep_trace_ns += now_ns() - t0;
+      result.stats.good_trace_cycles += stimulus.size();
+      trace_ptr = &*trace;
+    }
+  }
+
   // One pass over `indices` with the first `budget` vectors: the
   // batches are sharded dynamically across workers, each owning a
   // private executor (a width-dispatched BatchWorker over the shared
@@ -302,32 +321,12 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   // the next pass — identical to the sequential engine's for any
   // thread count.
   //
-  // The compiled engine records the good trace once per pass on the
-  // calling thread; batches then touch only their fault cones.
-  //
   // Cancellation stops workers at batch boundaries: a batch that never
   // ran leaves its faults unfinalized (and out of the survivor list, so
   // a later pass never touches them either). Batches that did run keep
   // their verdicts — the partial result is valid, just incomplete.
   auto run_pass = [&](const std::vector<std::size_t>& indices,
                       std::size_t budget, bool final_pass) {
-    std::optional<gate::GoodTrace> trace;
-    const gate::GoodTrace* trace_ptr = nullptr;
-    if (engine == FaultSimEngine::Compiled && !indices.empty()) {
-      if (art != nullptr) {
-        // The artifact's trace covers the full stimulus; batch kernels
-        // only read row prefixes, so it serves every budget. Nothing is
-        // recorded, which is exactly the time this path saves.
-        trace_ptr = &art->trace;
-      } else {
-        const std::uint64_t t0 = now_ns();
-        trace = gate::record_good_trace(sched, stimulus, budget);
-        result.stats.prep_trace_ns += now_ns() - t0;
-        result.stats.good_trace_cycles += budget;
-        trace_ptr = &*trace;
-      }
-    }
-
     const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
     const std::size_t workers =
         std::max<std::size_t>(1, std::min(threads, num_batches));

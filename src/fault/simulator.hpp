@@ -17,7 +17,8 @@
 //
 //   * Compiled (default): PPSFP-style good-machine reuse. The netlist
 //     is compiled once (gate/schedule.hpp), the fault-free machine runs
-//     once per pass recording a bit-packed good trace, and each batch
+//     once per call (time-parallel, gate/sim.hpp) recording a
+//     bit-packed good trace over the full stimulus, and each batch
 //     then evaluates only the union of its faults' structural fan-out
 //     cones (closed through registers), reading out-of-cone operands
 //     from the trace. Results are bit-identical to the full sweep —

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "gate/netlist.hpp"
 
 namespace fdbist::gate {
@@ -39,7 +40,8 @@ namespace fdbist::gate {
 struct GoodTrace {
   std::size_t words_per_cycle = 0;
   std::size_t cycles = 0;
-  std::vector<std::uint64_t> bits; ///< cycles x words_per_cycle
+  /// cycles x words_per_cycle, on its own pages (common/page_allocator)
+  std::vector<std::uint64_t, common::PageAllocator<std::uint64_t>> bits;
 
   const std::uint64_t* row(std::size_t t) const {
     return bits.data() + t * words_per_cycle;

@@ -12,9 +12,15 @@
 // the netlist (SoA gate arrays, fan-out CSR, cone extraction) and is
 // shared read-only across simulator instances; the executor owns only
 // mutable per-machine state (net values, register state, the injected
-// fault plan). Two sweeps are offered: step_broadcast evaluates the
-// full netlist, and step_cone evaluates only a batch's fault cone,
-// reading out-of-cone operands from a recorded good-machine trace.
+// fault plan). Three clocks are offered: step_broadcast evaluates the
+// full netlist with every lane on the same input, step_lanes does the
+// same with a different input per lane, and step_cone evaluates only a
+// batch's fault cone, reading out-of-cone operands from a recorded
+// good-machine trace.
+//
+// The fault-free machine itself runs time-parallel
+// (sweep_good_machine): lane k simulates its own segment of the
+// stimulus, and segment start states are relaxed to their exact values.
 //
 // Wide instantiations (W wider than one limb) are confined to the
 // per-ISA kernel TUs in src/fault/ — see the header comment in
@@ -22,7 +28,9 @@
 // scalar instantiation with the historical std::uint64_t surface.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -137,46 +145,32 @@ public:
       for (std::size_t j = 0; j < group.size(); ++j)
         values_[std::size_t(group[j])] = W::fill(((raw >> j) & 1u) != 0);
     }
-    // Present register state.
-    const auto& regs = nl_.registers();
-    for (std::size_t r = 0; r < regs.size(); ++r)
-      values_[std::size_t(regs[r].q)] = reg_state_[r];
-
-    // Evaluate combinational gates in topological order over the
-    // schedule's SoA arrays.
-    const GateOp* ops = sched_.ops();
-    const NetId* as = sched_.operand_a();
-    const NetId* bs = sched_.operand_b();
-    const std::int32_t* slot = fault_slot_.data();
-    const std::size_t n = sched_.size();
-    W* vals = values_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      W v;
-      switch (ops[i]) {
-      case GateOp::Not: v = ~vals[as[i]]; break;
-      case GateOp::And: v = vals[as[i]] & vals[bs[i]]; break;
-      case GateOp::Or: v = vals[as[i]] | vals[bs[i]]; break;
-      case GateOp::Xor: v = vals[as[i]] ^ vals[bs[i]]; break;
-      case GateOp::Const0: v = W::zero(); break;
-      case GateOp::Const1: v = W::ones(); break;
-      case GateOp::Input:
-      case GateOp::RegOut:
-        continue; // already driven above
-      default: v = W::zero(); break;
-      }
-      if (slot[i] >= 0) [[unlikely]]
-        v = eval_faulty(i);
-      vals[i] = v;
-    }
-
-    // Latch.
-    for (std::size_t r = 0; r < regs.size(); ++r)
-      reg_state_[r] = values_[std::size_t(regs[r].d)];
+    clock();
   }
 
   void step_broadcast(std::int64_t input_raw) {
     step_broadcast({&input_raw, 1});
   }
+
+  /// One clock with per-lane inputs: `input_bits[j]` drives the j-th
+  /// primary-input bit net (groups concatenated in order, LSB first),
+  /// one lane per machine. The time-parallel good-machine sweep drives
+  /// a different cycle of the stimulus in every lane this way.
+  void step_lanes(std::span<const W> input_bits) {
+    std::size_t j = 0;
+    for (const auto& group : nl_.inputs())
+      for (const NetId id : group) {
+        FDBIST_REQUIRE(j < input_bits.size(), "too few input bit words");
+        values_[std::size_t(id)] = input_bits[j++];
+      }
+    FDBIST_REQUIRE(j == input_bits.size(), "too many input bit words");
+    clock();
+  }
+
+  /// Per-lane register state, one word per RegBit: the state presented
+  /// at the next clock. Writable so a caller can start each lane from
+  /// its own state.
+  std::span<W> register_state() { return reg_state_; }
 
   /// Cone-restricted clock: evaluate only `cone.gates`, pre-filling the
   /// cone boundary from `good_row` (one GoodTrace row — the fault-free
@@ -275,6 +269,45 @@ private:
     W set_o = W::zero(), clr_o = W::zero();
   };
 
+  /// Present register state, evaluate combinational logic, latch.
+  void clock() {
+    // Present register state.
+    const auto& regs = nl_.registers();
+    for (std::size_t r = 0; r < regs.size(); ++r)
+      values_[std::size_t(regs[r].q)] = reg_state_[r];
+
+    // Evaluate combinational gates in topological order over the
+    // schedule's SoA arrays.
+    const GateOp* ops = sched_.ops();
+    const NetId* as = sched_.operand_a();
+    const NetId* bs = sched_.operand_b();
+    const std::int32_t* slot = fault_slot_.data();
+    const std::size_t n = sched_.size();
+    W* vals = values_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      W v;
+      switch (ops[i]) {
+      case GateOp::Not: v = ~vals[as[i]]; break;
+      case GateOp::And: v = vals[as[i]] & vals[bs[i]]; break;
+      case GateOp::Or: v = vals[as[i]] | vals[bs[i]]; break;
+      case GateOp::Xor: v = vals[as[i]] ^ vals[bs[i]]; break;
+      case GateOp::Const0: v = W::zero(); break;
+      case GateOp::Const1: v = W::ones(); break;
+      case GateOp::Input:
+      case GateOp::RegOut:
+        continue; // already driven above
+      default: v = W::zero(); break;
+      }
+      if (slot[i] >= 0) [[unlikely]]
+        v = eval_faulty(i);
+      vals[i] = v;
+    }
+
+    // Latch.
+    for (std::size_t r = 0; r < regs.size(); ++r)
+      reg_state_[r] = values_[std::size_t(regs[r].d)];
+  }
+
   W eval_faulty(std::size_t i) const {
     const PinMasks& p = plans_[std::size_t(fault_slot_[i])];
     const NetId na = sched_.operand_a()[i];
@@ -330,10 +363,40 @@ public:
   std::uint64_t net(NetId id) const { return net_wide(id).word(0); }
 };
 
+/// Segment length L of the time-parallel sweep over `cycles` cycles:
+/// ceil(cycles / 64), at least 1. Lane k covers cycles [kL, (k+1)L).
+inline std::size_t sweep_segment_length(std::size_t cycles) {
+  return std::max<std::size_t>(1, (cycles + 63) / 64);
+}
+
+/// Called once per step of every sweep after the first: after the
+/// call's clock, lane k of `sim` holds the fault-free machine during
+/// cycle k * sweep_segment_length(cycles) + step (lanes past `cycles`
+/// hold nothing of use). Only the last sweep's calls are exact, so a
+/// visitor must overwrite what an earlier sweep wrote, never accumulate.
+using GoodSweepVisitor =
+    std::function<void(std::size_t step, const WordSim& sim)>;
+
 /// Simulate the fault-free machine over `stimulus[0, cycles)` (single
-/// primary input, as in the fault engine) and record every net's value
-/// each cycle, bit-packed. The trace is immutable afterwards and shared
-/// read-only by every cone-restricted batch of a fault-simulation pass.
+/// primary input, as in the fault engine) time-parallel: lane k runs
+/// segment k of the stimulus. Segment 0 starts from reset; segment k+1
+/// starts from segment k's end state in the previous sweep. Sweeps
+/// repeat until no start state changes, which makes the last sweep
+/// exact: every segment then starts where its predecessor ends, and
+/// segment 0 from reset. Sweep i fixes segment i-1 for good, so at most
+/// one sweep per segment is needed. Sweep 1 is not visited (it is exact
+/// only if every segment ends in reset, and then it is run once more).
+/// Returns the number of sweeps run: at least 2, 0 when `cycles` is 0.
+std::size_t sweep_good_machine(const CompiledSchedule& schedule,
+                               std::span<const std::int64_t> stimulus,
+                               std::size_t cycles,
+                               const GoodSweepVisitor& visit);
+
+/// Record every net's fault-free value each cycle of
+/// `stimulus[0, cycles)`, bit-packed, via sweep_good_machine: one 64x64
+/// bit transpose per 64 nets per step turns lane words into trace rows.
+/// The trace is immutable afterwards and shared read-only by every
+/// cone-restricted batch of a fault-simulation run.
 GoodTrace record_good_trace(const CompiledSchedule& schedule,
                             std::span<const std::int64_t> stimulus,
                             std::size_t cycles);

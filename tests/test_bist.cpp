@@ -2,6 +2,9 @@
 
 #include "bist/kit.hpp"
 #include "bist/misr.hpp"
+#include "designs/registry.hpp"
+#include "gate/sim.hpp"
+#include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::bist {
@@ -79,6 +82,38 @@ TEST(Kit, GoldenResponseMatchesAcrossCalls) {
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1.size(), stim.size());
   EXPECT_EQ(kit.golden_signature(stim), kit.golden_signature(stim));
+}
+
+TEST(Kit, GoldenResponseMatchesRtlAndSerialGateSimulation) {
+  // The time-parallel golden response against two serial references:
+  // the word-level RTL simulator and lane 0 of a broadcast gate sweep.
+  // 4096 vectors relax in 2 sweeps; 300 (segments of 5 cycles) need
+  // more, since the filters remember longer than one segment.
+  for (const auto& entry : designs::design_registry()) {
+    const auto d = designs::make_design(entry.name);
+    const BistKit kit(d);
+    for (const std::size_t vectors : {4096, 300}) {
+      SCOPED_TRACE(entry.name + " x " + std::to_string(vectors));
+      auto gen =
+          tpg::make_generator(tpg::GeneratorKind::LfsrD, d.stats().width_in);
+      const auto stim = gen->generate_raw(vectors);
+      const auto got = kit.golden_response(stim);
+
+      rtl::Simulator rtl_sim(d.graph);
+      EXPECT_EQ(got, rtl_sim.run_output(stim));
+
+      gate::WordSim ws(kit.lowered().netlist);
+      const auto& out_bits = kit.lowered().netlist.outputs().front();
+      std::vector<std::int64_t> serial;
+      for (const std::int64_t x : stim) {
+        ws.step_broadcast(x);
+        serial.push_back(ws.lane_value(out_bits, 0));
+      }
+      EXPECT_EQ(got, serial);
+    }
+  }
+  const BistKit kit(small_design());
+  EXPECT_TRUE(kit.golden_response({}).empty());
 }
 
 TEST(Kit, EvaluateReportsConsistentCounts) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -176,6 +179,20 @@ TEST(Bits, CeilPow2) {
   EXPECT_EQ(ceil_pow2(2), 2u);
   EXPECT_EQ(ceil_pow2(3), 4u);
   EXPECT_EQ(ceil_pow2(1000), 1024u);
+}
+
+TEST(Bits, Transpose64MovesBitJOfRowKToBitKOfRowJ) {
+  Xoshiro256 rng(64);
+  std::uint64_t a[64];
+  for (auto& w : a) w = rng();
+  std::uint64_t t[64];
+  std::copy(std::begin(a), std::end(a), std::begin(t));
+  transpose64(t);
+  for (int k = 0; k < 64; ++k)
+    for (int j = 0; j < 64; ++j)
+      ASSERT_EQ(bit_of(t[j], k), bit_of(a[k], j)) << k << "," << j;
+  transpose64(t);
+  EXPECT_TRUE(std::equal(std::begin(a), std::end(a), std::begin(t)));
 }
 
 TEST(Check, RequireThrowsPrecondition) {

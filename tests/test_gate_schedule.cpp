@@ -3,7 +3,8 @@
 // equal brute-force reachability closed through registers, and the
 // cone-restricted engine must be bit-identical to the full-sweep
 // reference — on small netlists, randomized lowered netlists, and all
-// three paper filters.
+// three paper filters. The time-parallel good-trace recorder must equal
+// a serial broadcast run on every registered design.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,11 @@
 #include "common/env.hpp"
 #include "designs/reference.hpp"
 #include "designs/registry.hpp"
+#include "fault/schedule_cache.hpp"
 #include "fault/serial.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
+#include "gate/passes/pass.hpp"
 #include "gate/schedule.hpp"
 #include "gate/sim.hpp"
 #include "rtl/fir_builder.hpp"
@@ -167,6 +170,98 @@ TEST(GoodTrace, MatchesFullSimulationLaneZero) {
   }
 }
 
+// Serial reference for the time-parallel recorder: one step_broadcast
+// per cycle, every lane on the same machine, lane 0 packed net by net
+// (zero padding past the last net).
+GoodTrace serial_trace(const CompiledSchedule& sched,
+                       std::span<const std::int64_t> stim,
+                       std::size_t cycles) {
+  GoodTrace t;
+  t.words_per_cycle = (sched.size() + 63) / 64;
+  t.cycles = cycles;
+  t.bits.assign(t.words_per_cycle * cycles, 0);
+  WordSim sim(sched);
+  for (std::size_t c = 0; c < cycles; ++c) {
+    sim.step_broadcast(stim[c]);
+    for (std::size_t i = 0; i < sched.size(); ++i)
+      t.bits[c * t.words_per_cycle + i / 64] |=
+          (sim.net(static_cast<NetId>(i)) & 1u) << (i % 64);
+  }
+  return t;
+}
+
+void expect_trace_matches_serial(const CompiledSchedule& sched,
+                                 std::span<const std::int64_t> stim,
+                                 const GoodTrace& serial) {
+  for (const std::size_t cycles : {1, 2, 63, 64, 65, 129, 4097}) {
+    ASSERT_LT(cycles, stim.size());
+    const auto got = record_good_trace(sched, stim, cycles);
+    ASSERT_EQ(got.cycles, cycles);
+    ASSERT_EQ(got.words_per_cycle, serial.words_per_cycle);
+    const std::size_t words = cycles * serial.words_per_cycle;
+    ASSERT_EQ(got.bits.size(), words);
+    for (std::size_t w = 0; w < words; ++w)
+      ASSERT_EQ(got.bits[w], serial.bits[w])
+          << cycles << " cycles: row " << w / serial.words_per_cycle
+          << " word " << w % serial.words_per_cycle;
+    // Bits past the last net stay zero, so FDBA trace bytes are stable.
+    if (sched.size() % 64 != 0) {
+      const std::uint64_t pad = ~low_mask(int(sched.size() % 64));
+      for (std::size_t c = 0; c < cycles; ++c)
+        ASSERT_EQ(got.row(c)[got.words_per_cycle - 1] & pad, 0u);
+    }
+  }
+}
+
+TEST(GoodTrace, TimeParallelMatchesSerialOnEveryDesign) {
+  // Every registry design (FIR taps, IIR feedback, decimator phases),
+  // on the lowered netlist and on the pass-optimized one the compiled
+  // engine actually records, at segment lengths 1, 2, 3 and 65.
+  for (const auto& entry : designs::design_registry()) {
+    SCOPED_TRACE(entry.name);
+    const auto d = designs::make_design(entry.name);
+    const auto low = lower(d.graph);
+    auto gen =
+        tpg::make_generator(tpg::GeneratorKind::LfsrD, d.stats().width_in);
+    const auto stim = gen->generate_raw(4100);
+    const CompiledSchedule raw(low.netlist);
+    expect_trace_matches_serial(raw, stim, serial_trace(raw, stim, 4097));
+
+    std::vector<NetId> sites;
+    for (const auto& f : fault::enumerate_adder_faults(low))
+      sites.push_back(f.gate);
+    const auto piped = run_passes(low.netlist, sites, PassOptions{});
+    const CompiledSchedule opt(piped.netlist);
+    expect_trace_matches_serial(opt, stim, serial_trace(opt, stim, 4097));
+  }
+}
+
+TEST(GoodTrace, ToggleRegisterNeedsOneSweepPerSegment) {
+  // q' = NOT q never forgets its state. With an odd segment length
+  // every segment's true start state differs from its neighbour's, and
+  // each sweep fixes one more segment: the maximum sweep count.
+  Netlist nl;
+  const NetId in = nl.add_gate(GateOp::Input);
+  const NetId q = nl.add_gate(GateOp::RegOut);
+  const NetId d = nl.add_gate(GateOp::Not, q);
+  nl.registers().push_back({d, q});
+  nl.inputs().push_back({in});
+  nl.outputs().push_back({q});
+  const CompiledSchedule sched(nl);
+  const std::vector<std::int64_t> stim(4100, 1);
+  const auto serial = serial_trace(sched, stim, 4097);
+  expect_trace_matches_serial(sched, stim, serial);
+
+  const GoodSweepVisitor ignore = [](std::size_t, const WordSim&) {};
+  EXPECT_EQ(sweep_segment_length(4097), 65u); // 64 segments, odd length
+  EXPECT_EQ(sweep_good_machine(sched, stim, 4097, ignore), 64u);
+  // Even length: sweep 1 is already exact and is replayed once.
+  EXPECT_EQ(sweep_good_machine(sched, stim, 4096, ignore), 2u);
+  EXPECT_EQ(sweep_good_machine(sched, stim, 0, ignore), 0u);
+  EXPECT_THROW(record_good_trace(sched, stim, stim.size() + 1),
+               precondition_error);
+}
+
 // The heart of the refactor: the cone-restricted compiled engine must be
 // bit-identical to the retained full-sweep reference.
 void expect_engines_identical(const Netlist& nl,
@@ -303,6 +398,28 @@ TEST(EngineStats, ReportsWorkDone) {
   EXPECT_GT(s.mean_cone_fraction(), 0.0);
   EXPECT_LT(s.mean_cone_fraction(), 1.0);
   EXPECT_GT(s.gate_eval_savings(), 0.0);
+}
+
+TEST(EngineStats, RecordsTheGoodTraceOnce) {
+  // One full-length recording serves stage 1's 128-cycle prefix and
+  // stage 2; an artifact run records nothing.
+  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto low = lower(d.graph);
+  const auto faults = fault::order_for_simulation(
+      fault::enumerate_adder_faults(low), low.netlist, d.graph);
+  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
+  const auto stim = gen->generate_raw(512);
+  fault::FaultSimOptions opt;
+  opt.engine = fault::FaultSimEngine::Compiled;
+  const auto scratch = fault::simulate_faults(low.netlist, stim, faults, opt);
+  EXPECT_EQ(scratch.stats.good_trace_cycles, 512u);
+  ASSERT_LT(scratch.detected, faults.size()) << "stage 2 must run";
+
+  opt.artifact =
+      fault::build_artifact(low.netlist, stim, faults, opt.passes);
+  const auto cached = fault::simulate_faults(low.netlist, stim, faults, opt);
+  EXPECT_EQ(cached.stats.good_trace_cycles, 0u);
+  EXPECT_EQ(cached.detect_cycle, scratch.detect_cycle);
 }
 
 TEST(EngineStats, DeterministicAcrossThreadCounts) {

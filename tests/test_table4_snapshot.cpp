@@ -14,6 +14,7 @@
 
 #include "bist/kit.hpp"
 #include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist {
@@ -76,6 +77,68 @@ TEST(Table4Snapshot, SnapshotPreservesPaperOrderingOnLowpass) {
   }
   EXPECT_LE(missed[1], missed[0]); // LFSR-D <= LFSR-1
   EXPECT_GT(missed[2], missed[1]); // LFSR-M worst vs LFSR-D
+}
+
+// The paper-scale reproduction (EXPERIMENTS.md Tables 4 and 6) as a
+// regression target, at hardware threads: the full 4096-vector matrix,
+// then the 8192-vector mixed LFSR-1/M scheme on every registered design.
+constexpr std::size_t kPaperVectors = 4096;
+constexpr std::size_t kMixedVectors = 8192;
+
+constexpr std::array kPaperGolden = {
+    Golden{designs::ReferenceFilter::Lowpass, "LP", {233, 165, 2811, 199}},
+    Golden{designs::ReferenceFilter::Bandpass, "BP", {143, 141, 2582, 464}},
+    Golden{designs::ReferenceFilter::Highpass, "HP", {150, 163, 3093, 444}},
+};
+
+struct MixedGolden {
+  const char* design;
+  std::size_t missed;
+};
+
+constexpr std::array kMixedGolden = {
+    MixedGolden{"LP", 125}, MixedGolden{"BP", 95}, MixedGolden{"HP", 113},
+    MixedGolden{"IIR4", 136}, MixedGolden{"DEC2", 99},
+};
+
+TEST(Table4Snapshot, PaperScaleMatrixAndMixedSchemeMatchExperiments) {
+  std::array<std::array<std::size_t, 4>, kPaperGolden.size()> missed{};
+  for (std::size_t di = 0; di < kPaperGolden.size(); ++di) {
+    const auto d = designs::make_reference(kPaperGolden[di].filter);
+    bist::BistKit kit(d);
+    for (std::size_t gi = 0; gi < kKinds.size(); ++gi) {
+      auto gen = tpg::make_generator(kKinds[gi], 12);
+      missed[di][gi] = kit.evaluate(*gen, kPaperVectors).missed();
+      EXPECT_EQ(missed[di][gi], kPaperGolden[di].missed[gi])
+          << kPaperGolden[di].name << " / " << gen->name();
+    }
+  }
+
+  // Table 4's qualitative claims.
+  constexpr std::size_t kL1 = 0, kLD = 1, kLM = 2, kRamp = 3;
+  EXPECT_GT(missed[0][kL1], missed[0][kLD]) << "LP: LFSR-1 vs LFSR-D";
+  for (const std::size_t di : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_GT(missed[di][kRamp], missed[di][kL1]) << kPaperGolden[di].name;
+    EXPECT_GT(missed[di][kRamp], missed[di][kLD]) << kPaperGolden[di].name;
+  }
+  for (std::size_t di = 0; di < missed.size(); ++di)
+    for (const std::size_t gi : {kL1, kLD, kRamp})
+      EXPECT_GT(missed[di][kLM], missed[di][gi])
+          << kPaperGolden[di].name << ": LFSR-M must be worst";
+
+  // Table 6: LFSR-1 for the first half, then LFSR-M.
+  for (std::size_t mi = 0; mi < kMixedGolden.size(); ++mi) {
+    const auto d = designs::make_design(kMixedGolden[mi].design);
+    bist::BistKit kit(d);
+    tpg::SwitchedLfsr gen(d.stats().width_in, kMixedVectors / 2);
+    const std::size_t mixed = kit.evaluate(gen, kMixedVectors).missed();
+    EXPECT_EQ(mixed, kMixedGolden[mi].missed) << kMixedGolden[mi].design;
+    if (mi >= missed.size()) continue; // Table 4 covers LP, BP, HP only
+    for (std::size_t gi = 0; gi < kKinds.size(); ++gi)
+      EXPECT_LT(mixed, missed[mi][gi])
+          << kMixedGolden[mi].design << ": mixed scheme vs single mode "
+          << gi;
+  }
 }
 
 } // namespace
