@@ -339,15 +339,14 @@ int run_json_report(const std::string& path, const std::string& design_name,
       fault::ScheduleCache::Config cfg;
       cfg.dir = cache_dir;
       fault::ScheduleCache cache(std::move(cfg));
-      fault::ArtifactCacheStats cstats;
       const auto t0 = std::chrono::steady_clock::now();
-      opt.artifact =
-          cache.acquire(low.netlist, stim, faults, opt.passes, cstats);
+      const fault::FaultSimStats prep =
+          fault::acquire_artifact(&cache, low.netlist, stim, faults, opt);
       r.result = fault::simulate_faults(low.netlist, stim, faults, opt);
       r.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-      fault::fold_cache_stats(cstats, r.result.stats);
+      r.result.stats.merge(prep);
       return r;
     };
     runs.push_back(timed_cached("cache-cold-1t"));

@@ -1,44 +1,21 @@
-// fdbist_cli — command-line driver over the whole library.
-//
-//   fdbist_cli designs
-//   fdbist_cli [--threads N] design   <lowpass|highpass|bandpass> <taps> <f1> [f2]
-//   fdbist_cli [--threads N] analyze  <design>
-//   fdbist_cli [--threads N] faultsim <design> <generator> <vectors>
-//                            [--design NAME] [--signature W]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] campaign <design> <generator> <vectors>
-//                            [--design NAME] [--signature W]
-//                            [--checkpoint DIR] [--checkpoint-every N]
-//                            [--resume] [--deadline-s S]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] coordinate <design> <generator> <vectors>
-//                            --dir DIR [--design NAME] [--signature W]
-//                            [--workers N] [--slice-faults N]
-//                            [--lease-ms N] [--max-attempts N]
-//                            [--backoff-ms N] [--backoff-cap-ms N]
-//                            [--max-respawns N] [--deadline-s S]
-//                            [--worker-cmd PATH]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] worker <design> <generator> <vectors>
-//                            --dir DIR --worker-id N [--signature W]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] spectra  <generator> [samples]
-//   fdbist_cli [--threads N] export   <design> <verilog|dot>
-//   fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]
-//                   [--minimize 0|1] [--mutate K] [--family F]
+// fdbist_cli — command-line driver over the whole library. Run it
+// with no arguments for the synopsis (usage() below).
 //
 // <design> is any name from `fdbist_cli designs` (case-insensitive:
-// LP, BP, HP, IIR4, DEC2, ...); the optional --design flag overrides
-// the positional, and an unknown name is a usage error (exit 2).
+// LP, BP, HP, IIR4, DEC2, ...). Generators: lfsr1 lfsr2 lfsrd lfsrm
+// ramp mixed — generated at the design's input width (the packed word
+// for decimators). An unknown design or generator is a usage error
+// (exit 2). The four run commands (faultsim, campaign, coordinate,
+// worker) share one grammar and one flag parser (run_spec.hpp): a
+// command's own flags are extra rows of the same table.
 // --signature W routes verdicts through a width-W MISR difference
 // register in the fault kernel (W in 2..31; the default primitive
 // polynomial) and reports measured aliasing against the word-compare
-// ground truth. Generators: lfsr1 lfsr2 lfsrd lfsrm ramp mixed —
-// generated at the design's input width (the packed word for
-// decimators).
+// ground truth.
 // --threads N shards fault simulation across N workers (0 = one per
 // hardware thread, the default; 1 = single-threaded legacy path).
 // Results are bit-identical for every N.
+// spectra's [samples] must fill at least one Welch segment (256).
 //
 // --schedule-cache DIR keeps compiled-artifact (FDBA) files in DIR so
 // repeat runs, campaign slices, and (re)spawned workers load the
@@ -63,12 +40,12 @@
 // reporting coverage-so-far over the finished slices.
 //
 // `coordinate` runs the same campaign distributed over --workers child
-// processes (each `fdbist_cli worker`, spawned automatically), leasing
-// --slice-faults-sized slices, retrying through crashes and hangs, and
-// merging partial results into a final line byte-identical to
-// `faultsim`. --dir holds the slice files; a re-run with the same
-// --dir resumes from whatever survived. `worker` is the child half —
-// it is spawned by `coordinate`, not typed by hand.
+// processes (each `fdbist_cli worker`, spawned automatically on the
+// same run), leasing --slice-faults-sized slices, retrying through
+// crashes and hangs, and merging partial results into a final line
+// byte-identical to `faultsim`. --dir holds the slice files; a re-run
+// with the same --dir resumes from whatever survived. `worker` is the
+// child half — it is spawned by `coordinate`, not typed by hand.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every
@@ -84,25 +61,25 @@
 // 5 deadline expiry, 6 worker loss (a slice exhausted its retry
 // budget). All three still print coverage-so-far.
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include <unistd.h>
 
 #include "analysis/compatibility.hpp"
 #include "analysis/variance.hpp"
 #include "bist/kit.hpp"
-#include "common/parse.hpp"
 #include "common/subprocess.hpp"
 #include "designs/registry.hpp"
 #include "dist/coordinator.hpp"
@@ -111,6 +88,7 @@
 #include "fault/schedule_cache.hpp"
 #include "gate/verilog.hpp"
 #include "rtl/dot_export.hpp"
+#include "run_spec.hpp"
 #include "tpg/generators.hpp"
 #include "tpg/lfsr.hpp"
 #include "verify/fuzz.hpp"
@@ -118,181 +96,64 @@
 namespace {
 
 using namespace fdbist;
-
-/// Fault-simulation worker threads (0 = hardware concurrency), set by
-/// the global --threads flag before command dispatch.
-std::size_t g_threads = 0;
+using cli::Flag;
+using cli::kMaxVectors;
+using cli::kUnbounded;
+using Args = std::span<const std::string>;
 
 /// argv[0] as invoked, for `coordinate` to respawn itself as workers.
 const char* g_argv0 = "fdbist_cli";
 
-constexpr std::size_t kMaxVectors = std::numeric_limits<std::int32_t>::max();
+/// A size flag no command line set.
+constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
 
 int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  fdbist_cli designs\n"
-               "  fdbist_cli [--threads N] design   "
-               "<lowpass|highpass|bandpass> <taps> <f1> [f2]\n"
-               "  fdbist_cli [--threads N] analyze  <design>\n"
-               "  fdbist_cli [--threads N] faultsim <design> <generator> "
-               "<vectors>\n"
-               "                           [--design NAME] [--signature W]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] campaign <design> <generator> "
-               "<vectors>\n"
-               "                           [--design NAME] [--signature W] "
-               "[--checkpoint DIR]\n"
-               "                           [--checkpoint-every N] [--resume] "
-               "[--deadline-s S]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] coordinate <design> <generator> "
-               "<vectors> --dir DIR\n"
-               "                           [--design NAME] [--signature W] "
-               "[--workers N] [--slice-faults N]\n"
-               "                           [--lease-ms N] [--max-attempts N] "
-               "[--backoff-ms N]\n"
-               "                           [--backoff-cap-ms N] "
-               "[--max-respawns N]\n"
-               "                           [--deadline-s S] "
-               "[--worker-cmd PATH]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] worker <design> <generator> "
-               "<vectors> --dir DIR\n"
-               "                           --worker-id N [--signature W]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] spectra  <generator> [samples]\n"
-               "  fdbist_cli [--threads N] export   <design> "
-               "<verilog|dot>\n"
-               "  fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]\n"
-               "                  [--minimize 0|1] [--mutate K] "
-               "[--family <fir|iir|decimator>]\n"
-               "<design>: a registry name (`fdbist_cli designs` lists "
-               "them), case-insensitive\n"
-               "generators: lfsr1 lfsr2 lfsrd lfsrm ramp mixed (run at the "
-               "design's input width)\n"
-               "--signature W: compact responses in a width-W MISR "
-               "(2..31) and report measured aliasing\n"
-               "--threads N: fault-sim worker threads (0 = one per "
-               "hardware thread; results identical for any N)\n"
-               "--checkpoint DIR: campaign slice files "
-               "(--checkpoint-every N faults each, default 1024)\n"
-               "--schedule-cache DIR: reuse compiled schedules across "
-               "slices, processes and runs\n"
-               "            (env FDBIST_SCHEDULE_CACHE; "
-               "--no-schedule-cache overrides; results identical)\n"
-               "exit codes: 0 ok, 1 error, 2 usage, 4 fuzz discrepancy;\n"
-               "            partial campaigns: 3 cancelled, 5 deadline "
-               "exceeded, 6 worker loss\n");
+  std::fprintf(
+      stderr,
+      "usage:\n"
+      "  fdbist_cli designs\n"
+      "  fdbist_cli [--threads N] design     <lowpass|highpass|bandpass> "
+      "<taps> <f1> [f2]\n"
+      "  fdbist_cli [--threads N] analyze    <design>\n"
+      "  fdbist_cli [--threads N] faultsim   <run>\n"
+      "  fdbist_cli [--threads N] campaign   <run> [--checkpoint DIR] "
+      "[--checkpoint-every N]\n"
+      "                                      [--resume] [--deadline-s S]\n"
+      "  fdbist_cli [--threads N] coordinate <run> --dir DIR [--workers N] "
+      "[--slice-faults N]\n"
+      "                                      [--lease-ms N] "
+      "[--max-attempts N] [--backoff-ms N]\n"
+      "                                      [--backoff-cap-ms N] "
+      "[--max-respawns N]\n"
+      "                                      [--deadline-s S] "
+      "[--worker-cmd PATH]\n"
+      "  fdbist_cli [--threads N] worker     <run> --dir DIR --worker-id N\n"
+      "  fdbist_cli [--threads N] spectra    <generator> [samples]\n"
+      "  fdbist_cli [--threads N] export     <design> <verilog|dot>\n"
+      "  fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]\n"
+      "                  [--minimize 0|1] [--mutate K] "
+      "[--family <fir|iir|decimator>]\n"
+      "<run>: <design> <generator> <vectors> [--signature W]\n"
+      "       [--schedule-cache DIR | --no-schedule-cache]\n"
+      "<design>: a registry name (`fdbist_cli designs` lists them), "
+      "case-insensitive\n"
+      "generators: lfsr1 lfsr2 lfsrd lfsrm ramp mixed (run at the "
+      "design's input width)\n"
+      "--signature W: compact responses in a width-W MISR (2..31) and "
+      "report measured aliasing\n"
+      "--threads N: fault-sim worker threads (0 = one per hardware "
+      "thread; results identical for any N)\n"
+      "--checkpoint DIR: campaign slice files (--checkpoint-every N "
+      "faults each, default 1024)\n"
+      "--schedule-cache DIR: reuse compiled schedules across slices, "
+      "processes and runs\n"
+      "            (env FDBIST_SCHEDULE_CACHE; --no-schedule-cache "
+      "overrides; results identical)\n"
+      "exit codes: 0 ok, 1 error, 2 usage, 4 fuzz discrepancy;\n"
+      "            partial campaigns: 3 cancelled, 5 deadline exceeded, "
+      "6 worker loss\n");
   return 2;
 }
-
-/// Checked numeric argument: on malformed input prints a one-line error
-/// naming the parameter (the caller then prints usage and exits 2).
-std::optional<std::size_t> arg_size(
-    const char* text, const char* what, std::size_t min_value = 0,
-    std::size_t max_value = std::numeric_limits<std::size_t>::max()) {
-  auto v = common::parse_size(text, what, min_value, max_value);
-  if (!v) {
-    std::fprintf(stderr, "fdbist_cli: %s\n", v.error().to_string().c_str());
-    return std::nullopt;
-  }
-  return *v;
-}
-
-std::optional<double> arg_double(const char* text, const char* what,
-                                 double min_value, double max_value) {
-  auto v = common::parse_double(text, what, min_value, max_value);
-  if (!v) {
-    std::fprintf(stderr, "fdbist_cli: %s\n", v.error().to_string().c_str());
-    return std::nullopt;
-  }
-  return *v;
-}
-
-/// Resolve a design argument against the named registry,
-/// case-insensitively. Unknown names print a one-line error (the
-/// caller then prints usage and exits 2).
-std::optional<std::string> resolve_design_name(const char* s) {
-  std::string name(s);
-  std::transform(name.begin(), name.end(), name.begin(),
-                 [](unsigned char c) { return char(std::toupper(c)); });
-  if (designs::has_design(name)) return name;
-  std::fprintf(stderr,
-               "fdbist_cli: unknown design \"%s\" (try `fdbist_cli "
-               "designs`)\n",
-               s);
-  return std::nullopt;
-}
-
-/// Strict --signature argument: MISR width in 2..31, compaction through
-/// the default primitive polynomial of that degree.
-std::optional<fault::SignatureOptions> arg_signature(const char* text) {
-  const auto w = arg_size(text, "--signature", 2, 31);
-  if (!w) return std::nullopt;
-  fault::SignatureOptions sig;
-  sig.width = static_cast<int>(*w);
-  sig.taps = tpg::default_polynomial(sig.width).low_terms;
-  return sig;
-}
-
-/// --schedule-cache / --no-schedule-cache resolution shared by
-/// faultsim, campaign, worker and coordinate. An explicit
-/// --schedule-cache DIR wins; otherwise FDBIST_SCHEDULE_CACHE supplies
-/// the directory; --no-schedule-cache turns caching off even when the
-/// environment variable is set. The two flags together are a usage
-/// error, as is --schedule-cache without a directory.
-struct CacheFlags {
-  std::string dir; ///< from --schedule-cache
-  bool off = false;
-
-  /// Consume argv[i] if it is a cache flag. Returns false when it is
-  /// not one; *err is set (and exit 2 follows) on malformed use.
-  bool consume(int argc, char** argv, int& i, bool* err) {
-    if (std::strcmp(argv[i], "--schedule-cache") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "fdbist_cli: --schedule-cache requires a directory\n");
-        *err = true;
-        return true;
-      }
-      dir = argv[++i];
-      if (dir.empty()) {
-        std::fprintf(stderr,
-                     "fdbist_cli: --schedule-cache directory is empty\n");
-        *err = true;
-      }
-      return true;
-    }
-    if (std::strcmp(argv[i], "--no-schedule-cache") == 0) {
-      off = true;
-      return true;
-    }
-    return false;
-  }
-
-  /// nullptr when both flags are set (usage error, reported here).
-  /// nullopt-equivalent (an empty unique_ptr with ok=true) when caching
-  /// is simply off.
-  std::unique_ptr<fault::ScheduleCache> make(bool* err) const {
-    if (off && !dir.empty()) {
-      std::fprintf(stderr, "fdbist_cli: --no-schedule-cache conflicts with "
-                           "--schedule-cache\n");
-      *err = true;
-      return nullptr;
-    }
-    if (off) return nullptr;
-    std::string d = dir.empty() ? fault::ScheduleCache::env_dir() : dir;
-    if (d.empty()) return nullptr;
-    fault::ScheduleCache::Config cfg;
-    cfg.dir = std::move(d);
-    return std::make_unique<fault::ScheduleCache>(std::move(cfg));
-  }
-};
 
 /// Cache + preparation observability. Printed to stderr so the stdout
 /// coverage line stays byte-identical with and without a cache (the
@@ -316,54 +177,32 @@ void print_cache_stats(const fault::FaultSimStats& s) {
                s.prep_artifact_build_ns / 1e6, s.prep_artifact_save_ns / 1e6);
 }
 
-std::unique_ptr<tpg::Generator> parse_generator(const std::string& s,
-                                                std::size_t vectors,
-                                                int width = 12) {
-  if (s == "lfsr1")
-    return tpg::make_generator(tpg::GeneratorKind::Lfsr1, width);
-  if (s == "lfsr2")
-    return tpg::make_generator(tpg::GeneratorKind::Lfsr2, width);
-  if (s == "lfsrd")
-    return tpg::make_generator(tpg::GeneratorKind::LfsrD, width);
-  if (s == "lfsrm")
-    return tpg::make_generator(tpg::GeneratorKind::LfsrM, width);
-  if (s == "ramp")
-    return tpg::make_generator(tpg::GeneratorKind::Ramp, width);
-  if (s == "mixed")
-    return std::make_unique<tpg::SwitchedLfsr>(width, vectors / 2, 1);
-  return nullptr;
-}
-
-int cmd_design(int argc, char** argv) {
-  if (argc < 4) return usage();
+int cmd_design(Args a) {
+  if (a.size() < 3) return usage();
   dsp::FirSpec spec;
-  const auto taps = arg_size(argv[2], "<taps>", 3, 4096);
-  const auto f1 = arg_double(argv[3], "<f1>", 0.0, 0.5);
+  const bool taps = cli::store({"<taps>", 3, 4096, &spec.taps}, a[1]);
+  const bool f1 = cli::store({"<f1>", 0.0, 0.5, &spec.f1}, a[2]);
   if (!taps || !f1) return usage();
-  spec.taps = *taps;
-  spec.f1 = *f1;
   spec.kaiser_beta = 6.0;
-  if (std::strcmp(argv[1], "lowpass") == 0) {
+  if (a[0] == "lowpass") {
     spec.kind = dsp::FilterKind::Lowpass;
-  } else if (std::strcmp(argv[1], "highpass") == 0) {
+  } else if (a[0] == "highpass") {
     spec.kind = dsp::FilterKind::Highpass;
-  } else if (std::strcmp(argv[1], "bandpass") == 0) {
-    if (argc < 5) return usage();
+  } else if (a[0] == "bandpass") {
+    if (a.size() < 4 || !cli::store({"<f2>", 0.0, 0.5, &spec.f2}, a[3]))
+      return usage();
     spec.kind = dsp::FilterKind::Bandpass;
-    const auto f2 = arg_double(argv[4], "<f2>", 0.0, 0.5);
-    if (!f2) return usage();
-    spec.f2 = *f2;
   } else {
     return usage();
   }
   auto h = dsp::design_fir(spec);
   const double scale = 0.98 / dsp::l1_norm(h);
   for (double& v : h) v *= scale;
-  const auto d = rtl::build_fir(h, {}, argv[1]);
+  const auto d = rtl::build_fir(h, {}, a[0]);
   const auto s = d.stats();
   std::printf("%s: %zu taps, %zu adders, %zu registers, widths "
               "%d/%d/%d\n",
-              argv[1], spec.taps, s.adders, s.registers, s.width_in,
+              a[0].c_str(), spec.taps, s.adders, s.registers, s.width_in,
               s.width_coef, s.width_out);
   std::printf("recommended generator: %s\n",
               tpg::kind_name(analysis::recommend_generator(d)));
@@ -389,9 +228,9 @@ int cmd_designs() {
   return 0;
 }
 
-int cmd_analyze(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const auto name = resolve_design_name(argv[1]);
+int cmd_analyze(Args a) {
+  if (a.empty()) return usage();
+  const auto name = cli::resolve_design(a[0]);
   if (!name) return usage();
   const auto d = designs::make_design(*name);
   std::printf("design %s: %zu adders\n", d.name.c_str(),
@@ -409,103 +248,112 @@ int cmd_analyze(int argc, char** argv) {
   return 0;
 }
 
-/// Exit status for a campaign that stopped before finishing: the code
-/// says *why* so harnesses can branch without scraping stderr.
-int partial_exit_status(fdbist::ErrorCode reason) {
-  switch (reason) {
-  case ErrorCode::Cancelled: return 3;
-  case ErrorCode::DeadlineExceeded: return 5;
-  case ErrorCode::WorkerLost: return 6;
-  default: return 1;
-  }
-}
+/// Everything a run command builds from its RunSpec, once: the design,
+/// its BIST kit (lowered netlist and ordered fault universe), the
+/// stimulus, the schedule cache and the compute options.
+struct Run {
+  rtl::FilterDesign design; ///< the kit holds a reference to it
+  bist::BistKit kit;
+  std::unique_ptr<tpg::Generator> gen;
+  std::vector<std::int64_t> stimulus;
+  std::unique_ptr<fault::ScheduleCache> cache;
+  dist::SliceComputeOptions opt;
 
-/// Shared "stopped early" report for campaign and coordinate.
-int print_partial(const fault::FaultSimResult& r, ErrorCode reason) {
-  std::printf("partial (%s): finalized %zu/%zu faults, coverage-so-far "
-              "%.3f%% (%zu detected)\n",
-              error_code_name(reason), r.finalized_count(), r.total_faults,
-              100 * r.coverage(), r.detected);
-  return partial_exit_status(reason);
-}
-
-/// Shared result line for faultsim and a completed campaign, so the
-/// kill-and-resume smoke test can diff the two outputs directly.
-void print_coverage_line(const std::string& design, const std::string& gen,
-                         std::size_t vectors, const fault::FaultSimResult& r,
-                         std::uint32_t signature) {
-  std::printf("%s + %s, %zu vectors: coverage %.3f%% (%zu/%zu), "
-              "missed %zu, golden signature %08X\n",
-              design.c_str(), gen.c_str(), vectors, 100 * r.coverage(),
-              r.detected, r.total_faults, r.missed(), signature);
-}
-
-/// Extra line printed by faultsim/campaign/coordinate when --signature
-/// is on: the *measured* aliasing of the compactor next to the paper's
-/// 2 + 64*N*2^-w expectation (DESIGN.md §13). No-op otherwise, so the
-/// kill-and-resume output diff is unchanged for uncompacted runs.
-void print_signature_line(const fault::SignatureOptions& sig,
-                          const fault::FaultSimResult& r) {
-  if (!sig.enabled()) return;
-  const double expectation =
-      2.0 + 64.0 * double(r.detected) * std::ldexp(1.0, -sig.width);
-  std::printf("signature %d-bit (taps %03X): detected %zu/%zu, aliased "
-              "%zu (expected < %.2f)\n",
-              sig.width, sig.taps, r.signature_detected(), r.detected,
-              r.aliased(), expectation);
-}
-
-int cmd_faultsim(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
-
-  fault::FaultSimOptions opt;
-  opt.num_threads = g_threads;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      opt.signature = *sig;
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown faultsim flag \"%s\"\n",
-                   argv[i]);
-      return usage();
+  explicit Run(const cli::RunSpec& s)
+      : design(designs::make_design(s.design)), kit(design) {
+    gen = cli::make_generator(s.generator, s.vectors,
+                              design.stats().width_in);
+    gen->reset();
+    stimulus = gen->generate_raw(s.vectors);
+    // An explicit --schedule-cache DIR wins; otherwise
+    // FDBIST_SCHEDULE_CACHE supplies the directory; --no-schedule-cache
+    // turns caching off even when the variable is set.
+    const std::string dir = s.no_cache ? ""
+                            : s.cache_dir.empty()
+                                ? fault::ScheduleCache::env_dir()
+                                : s.cache_dir;
+    if (!dir.empty())
+      cache = std::make_unique<fault::ScheduleCache>(
+          fault::ScheduleCache::Config{dir});
+    opt.num_threads = s.threads;
+    opt.family = static_cast<std::uint32_t>(design.family);
+    if (s.signature != 0) {
+      opt.signature.width = static_cast<int>(s.signature);
+      opt.signature.taps =
+          tpg::default_polynomial(opt.signature.width).low_terms;
     }
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
 
-  const auto d = designs::make_design(*name);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  fault::ArtifactCacheStats cstats;
-  if (cache != nullptr) {
-    // evaluate() resets the generator and regenerates the identical
-    // stimulus, so acquiring against a pre-generated copy is safe.
-    gen->reset();
-    const auto stimulus = gen->generate_raw(*vectors);
-    opt.artifact = cache->acquire(kit.lowered().netlist, stimulus,
-                                  kit.faults(), opt.passes, cstats);
+  Run(const Run&) = delete; // kit would still point at the source's design
+
+  const gate::Netlist& netlist() const { return kit.lowered().netlist; }
+  std::span<const fault::Fault> faults() const { return kit.faults(); }
+
+  /// The run's stdout, shared by faultsim, campaign and coordinate so
+  /// the smoke tests can diff them directly: the coverage line, plus the
+  /// measured aliasing of the compactor next to the paper's
+  /// 2 + 64*N*2^-w expectation (DESIGN.md §13) when --signature is on.
+  /// A run stopped early prints coverage-so-far instead, and its exit
+  /// status says why.
+  int report(const fault::FaultSimResult& r,
+             std::optional<ErrorCode> stop) const {
+    if (cache != nullptr) print_cache_stats(r.stats);
+    if (!r.complete) {
+      std::printf("partial (%s): finalized %zu/%zu faults, coverage-so-far "
+                  "%.3f%% (%zu detected)\n",
+                  error_code_name(*stop), r.finalized_count(), r.total_faults,
+                  100 * r.coverage(), r.detected);
+      switch (*stop) {
+      case ErrorCode::Cancelled: return 3;
+      case ErrorCode::DeadlineExceeded: return 5;
+      case ErrorCode::WorkerLost: return 6;
+      default: return 1;
+      }
+    }
+    std::printf("%s + %s, %zu vectors: coverage %.3f%% (%zu/%zu), "
+                "missed %zu, golden signature %08X\n",
+                design.name.c_str(), gen->name().c_str(),
+                stimulus.size(), 100 * r.coverage(), r.detected,
+                r.total_faults, r.missed(), kit.golden_signature(stimulus));
+    const fault::SignatureOptions& sig = opt.signature;
+    if (sig.enabled())
+      std::printf("signature %d-bit (taps %03X): detected %zu/%zu, aliased "
+                  "%zu (expected < %.2f)\n",
+                  sig.width, sig.taps, r.signature_detected(), r.detected,
+                  r.aliased(),
+                  2.0 + 64.0 * double(r.detected) *
+                            std::ldexp(1.0, -sig.width));
+    return 0;
   }
-  auto report = kit.evaluate(*gen, *vectors, opt);
-  if (cache != nullptr) {
-    fault::fold_cache_stats(cstats, report.fault_result.stats);
-    print_cache_stats(report.fault_result.stats);
+};
+
+int cmd_faultsim(Args args) {
+  cli::RunSpec spec;
+  if (!cli::parse_run(args, spec)) return usage();
+  const Run run(spec);
+  fault::FaultSimOptions opt = run.opt;
+  const fault::FaultSimStats prep = fault::acquire_artifact(
+      run.cache.get(), run.netlist(), run.stimulus, run.faults(), opt);
+  auto r = fault::simulate_faults(run.netlist(), run.stimulus, run.faults(),
+                                  opt);
+  r.stats.merge(prep);
+  return run.report(r, std::nullopt);
+}
+
+/// campaign and coordinate: run the slices through the coordinator,
+/// log its summary to stderr, and report.
+int distribute(const Run& run, dist::DistOptions& dopt,
+               const std::function<void(const dist::DistResult&)>& summary) {
+  dopt.compute = run.opt;
+  dopt.schedule_cache = run.cache.get();
+  auto res = dist::run_distributed(run.netlist(), run.stimulus, run.faults(),
+                                   dopt);
+  if (!res) {
+    std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
+    return 1;
   }
-  print_coverage_line(d.name, gen->name(), *vectors, report.fault_result,
-                      report.golden_signature);
-  print_signature_line(opt.signature, report.fault_result);
-  return 0;
+  summary(*res);
+  return run.report(res->sim, res->stop_reason);
 }
 
 /// A temporary directory removed, with its contents, on scope exit.
@@ -517,65 +365,25 @@ struct PrivateDir {
   }
 };
 
-int cmd_campaign(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
-
+int cmd_campaign(Args args) {
+  cli::RunSpec spec;
   dist::DistOptions dopt;
   dopt.num_workers = 0;
   dopt.slice_faults = 1024;
-  dopt.compute.num_threads = g_threads;
   dopt.verbose = false;
   bool resume = false;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      dopt.compute.signature = *sig;
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      dopt.dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto every =
-          arg_size(argv[++i], "--checkpoint-every", 1, kMaxVectors);
-      if (!every) return usage();
-      dopt.slice_faults = *every;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
-      const auto deadline = arg_double(argv[++i], "--deadline-s", 0.0, 1e9);
-      if (!deadline) return usage();
-      dopt.deadline_s = *deadline;
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown campaign flag \"%s\"\n",
-                   argv[i]);
-      return usage();
-    }
-  }
+  const Flag extra[] = {
+      {"--checkpoint", 0, kUnbounded, &dopt.dir},
+      {"--checkpoint-every", 1, kMaxVectors, &dopt.slice_faults},
+      {"--resume", 0, 0, &resume},
+      {"--deadline-s", 0, 1e9, &dopt.deadline_s},
+  };
+  if (!cli::parse_run(args, spec, extra)) return usage();
   if (resume && dopt.dir.empty()) {
     std::fprintf(stderr, "fdbist_cli: --resume requires --checkpoint\n");
     return usage();
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  dopt.schedule_cache = cache.get();
-
-  const auto d = designs::make_design(*name);
-  dopt.compute.family = static_cast<std::uint32_t>(d.family);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  gen->reset();
-  const auto stimulus = gen->generate_raw(*vectors);
+  const Run run(spec);
   if (isatty(fileno(stderr)) != 0) {
     dopt.progress = [](std::size_t done, std::size_t total) {
       std::fprintf(stderr, "\r  [campaign] %3d%%",
@@ -601,84 +409,38 @@ int cmd_campaign(int argc, char** argv) {
     dopt.dir = tmp_dir.path = tmpl;
   } else if (!resume) {
     const std::size_t slices =
-        (kit.faults().size() + dopt.slice_faults - 1) / dopt.slice_faults;
+        (run.faults().size() + dopt.slice_faults - 1) / dopt.slice_faults;
     for (std::size_t s = 0; s < slices; ++s)
       std::remove(dist::partial_path(dopt.dir, s).c_str());
   }
 
-  auto res = dist::run_distributed(kit.lowered().netlist, stimulus,
-                                   kit.faults(), dopt);
-  if (!res) {
-    std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
-    return 1;
-  }
-  if (res->resumed_slices > 0)
-    std::fprintf(stderr,
-                 "resumed from %s: %zu slices already finalized, %zu run "
-                 "now\n",
-                 dopt.dir.c_str(), res->resumed_slices, res->inline_slices);
-
-  if (cache != nullptr) print_cache_stats(res->sim.stats);
-  const fault::FaultSimResult& r = res->sim;
-  if (!r.complete) return print_partial(r, *res->stop_reason);
-  print_coverage_line(d.name, gen->name(), *vectors, r,
-                      kit.golden_signature(stimulus));
-  print_signature_line(dopt.compute.signature, r);
-  return 0;
+  return distribute(run, dopt, [&](const dist::DistResult& res) {
+    if (res.resumed_slices > 0)
+      std::fprintf(stderr,
+                   "resumed from %s: %zu slices already finalized, %zu run "
+                   "now\n",
+                   dopt.dir.c_str(), res.resumed_slices, res.inline_slices);
+  });
 }
 
-int cmd_worker(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
-
+int cmd_worker(Args args) {
+  cli::RunSpec spec;
   dist::WorkerOptions wopt;
-  wopt.compute.num_threads = g_threads;
-  bool have_id = false;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      wopt.dir = argv[++i];
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      wopt.compute.signature = *sig;
-    } else if (std::strcmp(argv[i], "--worker-id") == 0 && i + 1 < argc) {
-      const auto id = arg_size(argv[++i], "--worker-id", 0, 1u << 20);
-      if (!id) return usage();
-      wopt.worker_id = *id;
-      have_id = true;
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown worker flag \"%s\"\n",
-                   argv[i]);
-      return usage();
-    }
-  }
-  if (wopt.dir.empty() || !have_id) {
+  wopt.worker_id = kUnset;
+  const Flag extra[] = {
+      {"--dir", 0, kUnbounded, &wopt.dir},
+      {"--worker-id", 0, 1u << 20, &wopt.worker_id},
+  };
+  if (!cli::parse_run(args, spec, extra)) return usage();
+  if (wopt.dir.empty() || wopt.worker_id == kUnset) {
     std::fprintf(stderr, "fdbist_cli: worker requires --dir and "
                          "--worker-id\n");
     return usage();
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  wopt.schedule_cache = cache.get();
-
-  const auto d = designs::make_design(*name);
-  wopt.compute.family = static_cast<std::uint32_t>(d.family);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  gen->reset();
-  const auto stimulus = gen->generate_raw(*vectors);
-  auto r = dist::run_worker(kit.lowered().netlist, stimulus, kit.faults(),
-                            wopt);
+  const Run run(spec);
+  wopt.compute = run.opt;
+  wopt.schedule_cache = run.cache.get();
+  auto r = dist::run_worker(run.netlist(), run.stimulus, run.faults(), wopt);
   if (!r) {
     std::fprintf(stderr, "fdbist_cli: worker %zu: %s\n", wopt.worker_id,
                  r.error().to_string().c_str());
@@ -687,176 +449,92 @@ int cmd_worker(int argc, char** argv) {
   return 0;
 }
 
-int cmd_coordinate(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
+// The coordinator's u64 millisecond fields are stored through the flag
+// table's std::size_t targets.
+static_assert(std::is_same_v<std::uint64_t, std::size_t>);
 
+int cmd_coordinate(Args args) {
+  cli::RunSpec spec;
   dist::DistOptions dopt;
-  dopt.compute.num_threads = g_threads;
   std::string worker_cmd;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dopt.dir = argv[++i];
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      dopt.compute.signature = *sig;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--workers", 0, 256);
-      if (!n) return usage();
-      dopt.num_workers = *n;
-    } else if (std::strcmp(argv[i], "--slice-faults") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--slice-faults", 1, kMaxVectors);
-      if (!n) return usage();
-      dopt.slice_faults = *n;
-    } else if (std::strcmp(argv[i], "--lease-ms") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--lease-ms", 1, 1u << 30);
-      if (!n) return usage();
-      dopt.lease_ms = *n;
-    } else if (std::strcmp(argv[i], "--max-attempts") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--max-attempts", 1, 1u << 20);
-      if (!n) return usage();
-      dopt.max_slice_attempts = *n;
-    } else if (std::strcmp(argv[i], "--backoff-ms") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--backoff-ms", 0, 1u << 30);
-      if (!n) return usage();
-      dopt.backoff_base_ms = *n;
-    } else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 &&
-               i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--backoff-cap-ms", 0, 1u << 30);
-      if (!n) return usage();
-      dopt.backoff_cap_ms = *n;
-    } else if (std::strcmp(argv[i], "--max-respawns") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--max-respawns", 0, 1u << 20);
-      if (!n) return usage();
-      dopt.max_respawns = *n;
-    } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
-      const auto deadline = arg_double(argv[++i], "--deadline-s", 0.0, 1e9);
-      if (!deadline) return usage();
-      dopt.deadline_s = *deadline;
-    } else if (std::strcmp(argv[i], "--worker-cmd") == 0 && i + 1 < argc) {
-      worker_cmd = argv[++i];
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown coordinate flag \"%s\"\n",
-                   argv[i]);
-      return usage();
-    }
-  }
+  const Flag extra[] = {
+      {"--dir", 0, kUnbounded, &dopt.dir},
+      {"--workers", 0, 256, &dopt.num_workers},
+      {"--slice-faults", 1, kMaxVectors, &dopt.slice_faults},
+      {"--lease-ms", 1, 1u << 30, &dopt.lease_ms},
+      {"--max-attempts", 1, 1u << 20, &dopt.max_slice_attempts},
+      {"--backoff-ms", 0, 1u << 30, &dopt.backoff_base_ms},
+      {"--backoff-cap-ms", 0, 1u << 30, &dopt.backoff_cap_ms},
+      {"--max-respawns", 0, 1u << 20, &dopt.max_respawns},
+      {"--deadline-s", 0, 1e9, &dopt.deadline_s},
+      {"--worker-cmd", 0, kUnbounded, &worker_cmd},
+  };
+  if (!cli::parse_run(args, spec, extra)) return usage();
   if (dopt.dir.empty()) {
     std::fprintf(stderr, "fdbist_cli: coordinate requires --dir\n");
     return usage();
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  dopt.schedule_cache = cache.get();
+  const Run run(spec);
 
-  // Workers are this very binary re-invoked in `worker` mode with the
-  // same universe arguments (the *resolved* design name, so a --design
-  // override reaches the children too); the coordinator appends the
-  // slot index after the trailing --worker-id. --workers 0 skips
-  // processes entirely (every slice runs inline).
+  // Workers are this very binary re-invoked in `worker` mode on the same
+  // run at one thread each; the coordinator appends the slot index after
+  // the trailing --worker-id. The resolved cache decision is passed on
+  // explicitly: a shared directory lets every worker (and every respawn)
+  // load the coordinator-era FDBA file instead of recompiling, and a
+  // cache that is off here stays off even when the children's
+  // environment sets FDBIST_SCHEDULE_CACHE. --workers 0 skips processes
+  // entirely (every slice runs inline).
   if (dopt.num_workers > 0) {
-    dopt.worker_argv = {
-        worker_cmd.empty() ? common::self_exe_path(g_argv0) : worker_cmd,
-        "--threads", "1", "worker", *name, argv[2], argv[3],
-        "--dir", dopt.dir};
-    if (dopt.compute.signature.enabled()) {
-      dopt.worker_argv.push_back("--signature");
-      dopt.worker_argv.push_back(
-          std::to_string(dopt.compute.signature.width));
-    }
-    // Mirror the resolved cache decision into the workers explicitly:
-    // a shared directory lets every worker (and every respawn) load the
-    // coordinator-era FDBA file instead of recompiling, while an
-    // explicit --no-schedule-cache keeps a FDBIST_SCHEDULE_CACHE in the
-    // children's environment from resurrecting caching the coordinator
-    // turned off. Must precede the trailing --worker-id (the
-    // coordinator appends the slot index after it).
-    if (cache != nullptr) {
-      dopt.worker_argv.push_back("--schedule-cache");
-      dopt.worker_argv.push_back(cache->config().dir);
-    } else {
-      dopt.worker_argv.push_back("--no-schedule-cache");
-    }
-    dopt.worker_argv.push_back("--worker-id");
+    cli::RunSpec w = spec;
+    w.threads = 1;
+    w.cache_dir = run.cache != nullptr ? run.cache->config().dir : "";
+    w.no_cache = run.cache == nullptr;
+    dopt.worker_argv = cli::to_argv(w, "worker");
+    dopt.worker_argv.insert(dopt.worker_argv.begin(),
+                            worker_cmd.empty()
+                                ? common::self_exe_path(g_argv0)
+                                : worker_cmd);
+    dopt.worker_argv.insert(dopt.worker_argv.end(),
+                            {"--dir", dopt.dir, "--worker-id"});
   }
 
-  const auto d = designs::make_design(*name);
-  dopt.compute.family = static_cast<std::uint32_t>(d.family);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  gen->reset();
-  const auto stimulus = gen->generate_raw(*vectors);
-
-  auto res = dist::run_distributed(kit.lowered().netlist, stimulus,
-                                   kit.faults(), dopt);
-  if (!res) {
-    std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "[coord] %zu slices (%zu resumed, %zu inline), %zu workers "
-               "spawned, %zu lost, %zu leases expired, %zu reassignments, "
-               "%zu partials rejected\n",
-               res->slices, res->resumed_slices, res->inline_slices,
-               res->workers_spawned, res->workers_lost, res->leases_expired,
-               res->slices_reassigned, res->partials_rejected);
-
-  if (cache != nullptr) print_cache_stats(res->sim.stats);
-  const fault::FaultSimResult& r = res->sim;
-  if (!r.complete) return print_partial(r, *res->stop_reason);
-  print_coverage_line(d.name, gen->name(), *vectors, r,
-                      kit.golden_signature(stimulus));
-  print_signature_line(dopt.compute.signature, r);
-  return 0;
+  return distribute(run, dopt, [](const dist::DistResult& res) {
+    std::fprintf(stderr,
+                 "[coord] %zu slices (%zu resumed, %zu inline), %zu workers "
+                 "spawned, %zu lost, %zu leases expired, %zu reassignments, "
+                 "%zu partials rejected\n",
+                 res.slices, res.resumed_slices, res.inline_slices,
+                 res.workers_spawned, res.workers_lost, res.leases_expired,
+                 res.slices_reassigned, res.partials_rejected);
+  });
 }
 
-int cmd_fuzz(int argc, char** argv) {
+int cmd_fuzz(Args a) {
   verify::FuzzOptions fopt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto seed = arg_size(argv[++i], "--seed");
-      if (!seed) return usage();
-      fopt.seed = static_cast<std::uint64_t>(*seed);
-    } else if (std::strcmp(argv[i], "--cases") == 0 && i + 1 < argc) {
-      const auto cases = arg_size(argv[++i], "--cases", 1, 1u << 24);
-      if (!cases) return usage();
-      fopt.cases = *cases;
-    } else if (std::strcmp(argv[i], "--corpus") == 0 && i + 1 < argc) {
-      fopt.corpus_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--minimize") == 0 && i + 1 < argc) {
-      const auto flag = arg_size(argv[++i], "--minimize", 0, 1);
-      if (!flag) return usage();
-      fopt.minimize = *flag != 0;
-    } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
-      const auto k = arg_size(argv[++i], "--mutate", 0, 1u << 20);
-      if (!k) return usage();
-      fopt.mutate = static_cast<std::int32_t>(*k);
-    } else if (std::strcmp(argv[i], "--family") == 0 && i + 1 < argc) {
-      rtl::DesignFamily fam;
-      if (!rtl::parse_design_family(argv[++i], fam)) {
-        std::fprintf(stderr,
-                     "fdbist_cli: unknown family \"%s\" (fir, iir, "
-                     "decimator)\n",
-                     argv[i]);
-        return usage();
-      }
-      fopt.family = static_cast<std::int32_t>(fam);
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown fuzz flag \"%s\"\n",
-                   argv[i]);
+  std::size_t minimize = 1;
+  std::size_t mutate = kUnset;
+  std::string family;
+  const Flag rows[] = {
+      {"--seed", 0, kUnbounded, &fopt.seed},
+      {"--cases", 1, 1u << 24, &fopt.cases},
+      {"--corpus", 0, kUnbounded, &fopt.corpus_dir},
+      {"--minimize", 0, 1, &minimize},
+      {"--mutate", 0, 1u << 20, &mutate},
+      {"--family", 1, kUnbounded, &family},
+  };
+  if (!cli::parse_flags(a, rows, "fuzz")) return usage();
+  fopt.minimize = minimize != 0;
+  if (mutate != kUnset) fopt.mutate = static_cast<std::int32_t>(mutate);
+  if (!family.empty()) {
+    rtl::DesignFamily fam;
+    if (!rtl::parse_design_family(family.c_str(), fam)) {
+      std::fprintf(stderr,
+                   "fdbist_cli: unknown family \"%s\" (fir, iir, "
+                   "decimator)\n",
+                   family.c_str());
       return usage();
     }
+    fopt.family = static_cast<std::int32_t>(fam);
   }
   if (isatty(fileno(stderr)) != 0) {
     fopt.progress = [](std::size_t done, std::size_t total) {
@@ -893,19 +571,19 @@ int cmd_fuzz(int argc, char** argv) {
   return report.io_errors.empty() ? 0 : 1;
 }
 
-int cmd_spectra(int argc, char** argv) {
-  if (argc < 2) return usage();
+int cmd_spectra(Args a) {
+  if (a.empty()) return usage();
+  dsp::WelchOptions opt;
   std::size_t samples = std::size_t{1} << 14;
-  if (argc > 2) {
-    const auto parsed =
-        arg_size(argv[2], "[samples]", 64, std::size_t{1} << 24);
-    if (!parsed) return usage();
-    samples = *parsed;
-  }
-  auto gen = parse_generator(argv[1], samples);
+  // The floor is one Welch segment: welch_psd needs a whole one.
+  if (a.size() > 1 &&
+      !cli::store({"[samples]", double(opt.segment), double(1 << 24),
+                   &samples},
+                  a[1]))
+    return usage();
+  auto gen = cli::make_generator(a[0], samples, 12);
   if (!gen) return usage();
   const auto x = gen->generate_real(samples);
-  dsp::WelchOptions opt;
   const auto psd = dsp::welch_psd(x, opt);
   const auto db = dsp::to_db(psd);
   const auto f = dsp::welch_frequencies(opt);
@@ -914,19 +592,19 @@ int cmd_spectra(int argc, char** argv) {
   return 0;
 }
 
-int cmd_export(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto name = resolve_design_name(argv[1]);
+int cmd_export(Args a) {
+  if (a.size() < 2) return usage();
+  const auto name = cli::resolve_design(a[0]);
   if (!name) return usage();
   const auto d = designs::make_design(*name);
-  if (std::strcmp(argv[2], "verilog") == 0) {
+  if (a[1] == "verilog") {
     const auto low = gate::lower(d.graph);
     gate::VerilogOptions opt;
     opt.module_name = "fdbist_" + d.name;
     gate::write_verilog(std::cout, low.netlist, opt);
     return 0;
   }
-  if (std::strcmp(argv[2], "dot") == 0) {
+  if (a[1] == "dot") {
     rtl::write_dot(std::cout, d.graph, {d.name, true});
     return 0;
   }
@@ -937,36 +615,25 @@ int cmd_export(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc >= 1 && argv[0] != nullptr) g_argv0 = argv[0];
-  // Strip the global --threads flag before command dispatch.
-  if (argc >= 2 && std::strcmp(argv[1], "--threads") == 0) {
-    if (argc < 3) return usage();
-    const auto threads = arg_size(argv[2], "--threads", 0, 4096);
-    if (!threads) return usage();
-    g_threads = *threads;
-    argv += 2;
-    argc -= 2;
-  }
-  if (argc < 2) return usage();
+  const std::vector<std::string> args(argv + std::min(argc, 1), argv + argc);
+  // The global --threads flag is checked here for every command; the
+  // run commands read it again into their RunSpec.
+  std::size_t threads = 0;
+  const auto at = cli::command_index(args, threads);
+  if (!at) return usage();
+  const std::string& cmd = args[*at];
+  const Args rest = Args(args).subspan(*at + 1);
   try {
-    if (std::strcmp(argv[1], "designs") == 0) return cmd_designs();
-    if (std::strcmp(argv[1], "design") == 0)
-      return cmd_design(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "analyze") == 0)
-      return cmd_analyze(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "faultsim") == 0)
-      return cmd_faultsim(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "campaign") == 0)
-      return cmd_campaign(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "coordinate") == 0)
-      return cmd_coordinate(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "worker") == 0)
-      return cmd_worker(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "spectra") == 0)
-      return cmd_spectra(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "export") == 0)
-      return cmd_export(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "fuzz") == 0)
-      return cmd_fuzz(argc - 1, argv + 1);
+    if (cmd == "designs") return cmd_designs();
+    if (cmd == "design") return cmd_design(rest);
+    if (cmd == "analyze") return cmd_analyze(rest);
+    if (cmd == "faultsim") return cmd_faultsim(args);
+    if (cmd == "campaign") return cmd_campaign(args);
+    if (cmd == "coordinate") return cmd_coordinate(args);
+    if (cmd == "worker") return cmd_worker(args);
+    if (cmd == "spectra") return cmd_spectra(rest);
+    if (cmd == "export") return cmd_export(rest);
+    if (cmd == "fuzz") return cmd_fuzz(rest);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -67,13 +67,14 @@ struct Coordinator {
   std::size_t spawn_budget = 0;
   std::size_t merged_faults = 0;
   std::size_t inline_owner = 0;
-  /// Acquired on the first inline slice, shared by all later ones.
-  std::shared_ptr<const fault::CompiledArtifact> inline_artifact;
+  /// opt.compute, plus the artifact once the first inline slice has
+  /// acquired it.
+  SliceComputeOptions compute;
 
   Coordinator(const gate::Netlist& nl_, std::span<const std::int64_t> stim,
               std::span<const fault::Fault> faults_, const DistOptions& o)
       : nl(nl_), stimulus(stim), faults(faults_), opt(o),
-        token(o.cancel) {}
+        token(o.cancel), compute(o.compute) {}
 
   void logf(const char* fmt, ...) __attribute__((format(printf, 2, 3))) {
     if (!opt.verbose) return;
@@ -306,32 +307,6 @@ struct Coordinator {
     return n;
   }
 
-  /// Acquire the campaign's artifact from the schedule cache and fold
-  /// the cache stats into the result. The pass pipeline is credited
-  /// once per design, at build time: slices running off the artifact
-  /// report zero pipeline work, which is exactly the amortization
-  /// being measured.
-  void acquire_inline_artifact(const gate::PassOptions& passes) {
-    fault::ArtifactCacheStats cstats;
-    inline_artifact =
-        opt.schedule_cache->acquire(nl, stimulus, faults, passes, cstats);
-    fault::FaultSimStats& st = res.sim.stats;
-    fault::fold_cache_stats(cstats, st);
-    if (inline_artifact == nullptr || !inline_artifact->ran_passes ||
-        cstats.misses == 0)
-      return;
-    st.pipeline_runs += 1;
-    st.pipeline_gates_before += inline_artifact->gates_before;
-    st.pipeline_gates_after += inline_artifact->gates_after;
-    for (const gate::PassDelta& pd : inline_artifact->deltas) {
-      auto& pc = st.passes[std::size_t(pd.kind)];
-      pc.runs += pd.runs;
-      pc.gates_removed += pd.gates_removed;
-      pc.edges_removed += pd.edges_removed;
-      pc.regs_removed += pd.regs_removed;
-    }
-  }
-
   /// No workers left and none spawnable: the coordinator computes a
   /// slice itself. Blocking is fine — there is nobody else to service.
   Expected<void> inline_step() {
@@ -343,19 +318,16 @@ struct Coordinator {
     const SliceSpec& spec = queue->spec(*idx);
     logf("slice %zu [%zu, +%zu) running inline (attempt %zu)", *idx, spec.lo,
          spec.count, queue->attempts(*idx));
-    SliceComputeOptions c = opt.compute;
+    // The artifact is acquired lazily on the first inline slice: a
+    // campaign whose workers do all the work never pays for one the
+    // coordinator won't use. Later inline slices reuse the handle.
+    res.sim.stats.merge(fault::acquire_artifact(opt.schedule_cache, nl,
+                                                stimulus, faults, compute));
+    SliceComputeOptions c = compute;
     c.cancel = &token;
     c.progress = [this, idx](std::size_t, std::size_t) {
       queue->renew(*idx);
     };
-    if (c.artifact == nullptr && opt.schedule_cache != nullptr &&
-        c.engine != fault::FaultSimEngine::FullSweep) {
-      // Lazily on the first inline slice: a campaign whose workers do
-      // all the work never pays for an artifact the coordinator won't
-      // use. Later inline slices reuse the handle.
-      if (inline_artifact == nullptr) acquire_inline_artifact(c.passes);
-      c.artifact = inline_artifact;
-    }
     auto r = compute_and_save_slice(nl, stimulus, faults, fp, opt.dir, *idx,
                                     spec.lo, spec.count, c);
     if (!r) {

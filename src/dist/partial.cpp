@@ -173,17 +173,8 @@ Expected<fault::FaultSimStats> compute_and_save_slice(
     std::span<const fault::Fault> faults, const UniverseFp& fp,
     const std::string& dir, std::size_t slice, std::size_t lo,
     std::size_t count, const SliceComputeOptions& opt) {
-  fault::FaultSimOptions fopt;
-  fopt.num_threads = opt.num_threads;
-  fopt.engine = opt.engine;
-  fopt.simd = opt.simd;
-  fopt.passes = opt.passes;
-  fopt.signature = opt.signature;
-  fopt.artifact = opt.artifact;
-  fopt.cancel = opt.cancel;
-  fopt.progress = opt.progress;
   fault::FaultSimResult r =
-      fault::simulate_faults(nl, stimulus, faults.subspan(lo, count), fopt);
+      fault::simulate_faults(nl, stimulus, faults.subspan(lo, count), opt);
   if (!r.complete)
     return Error{opt.cancel != nullptr ? opt.cancel->reason()
                                        : ErrorCode::Cancelled,

@@ -46,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,24 +115,16 @@ Expected<void> validate_partial(const SlicePartial& p, const UniverseFp& fp,
 Expected<void> merge_partial(fault::FaultSimResult& into,
                              const SlicePartial& p);
 
-struct SliceComputeOptions {
-  std::size_t num_threads = 1;
-  fault::FaultSimEngine engine = fault::FaultSimEngine::Auto;
-  common::SimdBackend simd = common::SimdBackend::Auto;
-  gate::PassOptions passes;
-  /// Design family tag, recorded in the partial inside UniverseFp.
-  std::uint32_t family = 0;
-  /// Response compaction; verdict-affecting, so recorded in the partial.
-  fault::SignatureOptions signature;
-  /// Prebuilt compiled artifact for the FULL campaign universe
-  /// (fault/schedule_cache.hpp), acquired once per process and forwarded
-  /// to every slice this process computes — a respawned worker loads it
-  /// from the on-disk cache instead of recompiling per slice.
-  std::shared_ptr<const fault::CompiledArtifact> artifact;
-  const common::CancelToken* cancel = nullptr;
-  /// Called with (faults finalized in this slice, slice fault count) as
-  /// the fault engine advances — the worker's lease heartbeat.
-  std::function<void(std::size_t, std::size_t)> progress;
+/// Per-slice compute configuration: the fault engine's options plus the
+/// design family tag recorded in the partial (inside UniverseFp). The
+/// signature is verdict-affecting, so it is recorded there too. An
+/// `artifact` must be built for the FULL campaign universe
+/// (fault/schedule_cache.hpp acquire_artifact): acquired once per
+/// process and shared by every slice it computes. `progress` reports
+/// (faults finalized in this slice, slice fault count) — the worker's
+/// lease heartbeat.
+struct SliceComputeOptions : fault::FaultSimOptions {
+  std::uint32_t family = 0; ///< rtl::DesignFamily as u32
 };
 
 /// Fault-simulate faults [lo, lo + count) of the universe and persist

@@ -63,20 +63,18 @@ Expected<void> run_worker(const gate::Netlist& nl,
   // this process computes shares the handle; the slices then skip
   // preparation entirely.
   SliceComputeOptions compute = opt.compute;
-  if (compute.artifact == nullptr && opt.schedule_cache != nullptr &&
-      compute.engine != fault::FaultSimEngine::FullSweep) {
-    fault::ArtifactCacheStats cstats;
-    compute.artifact = opt.schedule_cache->acquire(nl, stimulus, faults,
-                                                   compute.passes, cstats);
-    if (compute.artifact != nullptr)
-      std::fprintf(stderr,
-                   "[worker %zu] artifact %s (mem %llu disk %llu built %llu)\n",
-                   opt.worker_id,
-                   cstats.mem_hits + cstats.disk_hits > 0 ? "reused" : "built",
-                   static_cast<unsigned long long>(cstats.mem_hits),
-                   static_cast<unsigned long long>(cstats.disk_hits),
-                   static_cast<unsigned long long>(cstats.misses));
-  }
+  const fault::FaultSimStats prep = fault::acquire_artifact(
+      opt.schedule_cache, nl, stimulus, faults, compute);
+  if (compute.artifact != nullptr && opt.compute.artifact == nullptr)
+    std::fprintf(stderr,
+                 "[worker %zu] artifact %s (mem %llu disk %llu built %llu)\n",
+                 opt.worker_id,
+                 prep.artifact_mem_hits + prep.artifact_disk_hits > 0
+                     ? "reused"
+                     : "built",
+                 static_cast<unsigned long long>(prep.artifact_mem_hits),
+                 static_cast<unsigned long long>(prep.artifact_disk_hits),
+                 static_cast<unsigned long long>(prep.artifact_misses));
 
   Message hello;
   hello.kind = MsgKind::Hello;

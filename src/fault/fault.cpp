@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/fingerprint.hpp"
@@ -108,10 +109,15 @@ std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
     return static_cast<double>(nd.fmt.width - 1 - og.bit) + std::log2(rel);
   };
 
-  std::stable_sort(faults.begin(), faults.end(),
-                   [&](const Fault& a, const Fault& b) {
-                     return score(a) > score(b);
+  // Score each fault once; the sort then compares cached scores.
+  std::vector<std::pair<double, Fault>> scored;
+  scored.reserve(faults.size());
+  for (const Fault& f : faults) scored.emplace_back(score(f), f);
+  std::stable_sort(scored.begin(), scored.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
                    });
+  for (std::size_t i = 0; i < faults.size(); ++i) faults[i] = scored[i].second;
   return faults;
 }
 

@@ -115,18 +115,40 @@ std::size_t CompiledArtifact::memory_bytes() const {
   return b;
 }
 
-void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into) {
-  into.artifact_mem_hits += s.mem_hits;
-  into.artifact_disk_hits += s.disk_hits;
-  into.artifact_misses += s.misses;
-  into.artifact_evictions += s.evictions;
-  into.artifact_load_failures += s.load_failures;
-  into.prep_artifact_load_ns += s.load_ns;
-  into.prep_artifact_build_ns += s.build_ns;
-  into.prep_artifact_save_ns += s.save_ns;
+FaultSimStats acquire_artifact(ScheduleCache* cache, const gate::Netlist& nl,
+                               std::span<const std::int64_t> stimulus,
+                               std::span<const Fault> faults,
+                               FaultSimOptions& opt) {
+  FaultSimStats st;
+  if (cache == nullptr || opt.artifact != nullptr ||
+      opt.engine == FaultSimEngine::FullSweep)
+    return st;
+  ArtifactCacheStats cs;
+  opt.artifact = cache->acquire(nl, stimulus, faults, opt.passes, cs);
+  st.artifact_mem_hits = cs.mem_hits;
+  st.artifact_disk_hits = cs.disk_hits;
+  st.artifact_misses = cs.misses;
+  st.artifact_evictions = cs.evictions;
+  st.artifact_load_failures = cs.load_failures;
+  st.prep_artifact_load_ns = cs.load_ns;
+  st.prep_artifact_build_ns = cs.build_ns;
+  st.prep_artifact_save_ns = cs.save_ns;
   // A cache miss built the artifact, which compiled the schedule once —
   // the one compilation a sliced campaign pays per design.
-  into.schedule_compilations += s.misses;
+  st.schedule_compilations = cs.misses;
+  if (opt.artifact == nullptr || !opt.artifact->ran_passes || cs.misses == 0)
+    return st;
+  st.pipeline_runs = 1;
+  st.pipeline_gates_before = opt.artifact->gates_before;
+  st.pipeline_gates_after = opt.artifact->gates_after;
+  for (const gate::PassDelta& pd : opt.artifact->deltas) {
+    auto& pc = st.passes[std::size_t(pd.kind)];
+    pc.runs += pd.runs;
+    pc.gates_removed += pd.gates_removed;
+    pc.edges_removed += pd.edges_removed;
+    pc.regs_removed += pd.regs_removed;
+  }
+  return st;
 }
 
 std::shared_ptr<const CompiledArtifact> build_artifact(

@@ -126,8 +126,8 @@ struct CompiledArtifact {
   std::size_t memory_bytes() const;
 };
 
-/// Cache observability, accumulated per acquire by the caller and
-/// folded into FaultSimStats (fold_cache_stats) so the CLI and bench
+/// Cache observability, accumulated per acquire by the caller;
+/// acquire_artifact folds it into FaultSimStats so the CLI and bench
 /// report hits/misses and load-vs-compile time next to the engine
 /// counters.
 struct ArtifactCacheStats {
@@ -140,8 +140,6 @@ struct ArtifactCacheStats {
   std::uint64_t build_ns = 0; ///< passes + compile + trace on misses
   std::uint64_t save_ns = 0;  ///< serializing + atomic write
 };
-
-void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into);
 
 /// Build an artifact from scratch (no cache involved): run the enabled
 /// passes protecting every fault site in `faults`, compile, record the
@@ -221,5 +219,19 @@ private:
   std::unordered_map<ArtifactKey, Entry, KeyHasher> map_;
   std::size_t bytes_ = 0;
 };
+
+/// The artifact-acquisition step every run path shares (the CLI's
+/// faultsim, a worker process, a coordinator's inline slices): unless
+/// `cache` is null, `opt.artifact` is already set or the engine is
+/// FullSweep, acquire the artifact for the FULL universe into
+/// `opt.artifact`. Returns what the acquisition did as engine stats:
+/// the cache counters, the artifact's load/build/save time, and — when
+/// it built the artifact — its one schedule compilation and
+/// pass-pipeline run, credited once per design, never per slice that
+/// runs off the artifact.
+FaultSimStats acquire_artifact(ScheduleCache* cache, const gate::Netlist& nl,
+                               std::span<const std::int64_t> stimulus,
+                               std::span<const Fault> faults,
+                               FaultSimOptions& opt);
 
 } // namespace fdbist::fault

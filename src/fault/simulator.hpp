@@ -9,9 +9,9 @@
 // output word with no response compaction — the paper's "no aliasing in
 // the response analyzer" assumption.
 //
-// One shared batch kernel serves every layer: the serial oracle
-// (fault/serial.hpp) is the kernel at one thread on the full-sweep
-// engine, the parallel engine shards the same batches across workers,
+// One shared batch kernel serves every layer: the serial reference is
+// the kernel with num_threads = 1 on the full-sweep engine, the
+// parallel engine shards the same batches across workers,
 // and sliced campaigns (dist/coordinator.hpp) split the fault universe
 // over repeated kernel calls. Two interchangeable batch engines exist:
 //
@@ -102,8 +102,8 @@ struct FaultSimStats {
   /// build/load on its behalf) spent before the first batch ran. A run
   /// handed a prebuilt artifact reports zero passes/compile/trace time —
   /// that is the whole point — while the acquisition site folds the
-  /// artifact's own build/load/save time in via fold_cache_stats
-  /// (fault/schedule_cache.hpp).
+  /// artifact's own build/load/save time in (acquire_artifact,
+  /// fault/schedule_cache.hpp).
   std::uint64_t prep_passes_ns = 0;  ///< pass pipeline
   std::uint64_t prep_compile_ns = 0; ///< CompiledSchedule construction
   std::uint64_t prep_trace_ns = 0;   ///< good-trace recording
@@ -114,7 +114,7 @@ struct FaultSimStats {
   /// reused). A campaign split into S slices compiles once per design,
   /// not once per slice — this counter is how tests verify that.
   std::uint64_t schedule_compilations = 0;
-  /// Artifact-cache observability (fold_cache_stats).
+  /// Artifact-cache observability (acquire_artifact).
   std::uint64_t artifact_mem_hits = 0;
   std::uint64_t artifact_disk_hits = 0;
   std::uint64_t artifact_misses = 0;

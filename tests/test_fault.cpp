@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
 
+#include "designs/registry.hpp"
 #include "fault/simulator.hpp"
 #include "rtl/fir_builder.hpp"
+#include "rtl/linear_model.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::fault {
@@ -95,6 +98,36 @@ TEST(Order, MsbFaultsLast) {
   const int first = bits_below_msb(ordered.front(), t.low.netlist, t.g);
   const int last = bits_below_msb(ordered.back(), t.low.netlist, t.g);
   EXPECT_GT(first, last);
+}
+
+// order_for_simulation scores each fault once before sorting; the order
+// must be exactly the one a comparator that recomputes both scores on
+// every comparison gives (the FDBA keys and fault fingerprints depend
+// on it).
+TEST(Order, MatchesRecomputingComparatorOnEveryDesign) {
+  for (const auto& e : designs::design_registry()) {
+    const auto d = designs::make_design(e.name);
+    const auto low = gate::lower(d.graph);
+    const auto faults = enumerate_adder_faults(low);
+    const auto gains = rtl::variance_gains(rtl::analyze_linear(d.graph));
+    auto score = [&](const Fault& f) {
+      const gate::GateOrigin& og = low.netlist.origin(f.gate);
+      const rtl::Node& nd = d.graph.node(og.node);
+      const double sigma = std::sqrt(gains[std::size_t(og.node)]) + 1e-12;
+      const double full_scale = nd.fmt.real_max() + nd.fmt.lsb();
+      return static_cast<double>(nd.fmt.width - 1 - og.bit) +
+             std::log2(sigma / full_scale);
+    };
+    auto expected = faults;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Fault& a, const Fault& b) {
+                       return score(a) > score(b);
+                     });
+    const auto ordered = order_for_simulation(faults, low.netlist, d.graph);
+    ASSERT_EQ(ordered.size(), expected.size()) << e.name;
+    for (std::size_t i = 0; i < ordered.size(); ++i)
+      ASSERT_TRUE(ordered[i] == expected[i]) << e.name << " position " << i;
+  }
 }
 
 TEST(Simulate, AllTinyAdderFaultsDetectedByExhaustiveStimulus) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "designs/reference.hpp"
-#include "fault/serial.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
 #include "gate/sim.hpp"
@@ -91,7 +90,10 @@ TEST(CarrySave, FaultUniverseSimulates) {
   tpg::WhiteUniformSource src(12, 23);
   const auto stim = src.generate_raw(96);
   const auto fast = fault::simulate_faults(csa.netlist, stim, faults);
-  const auto slow = fault::simulate_faults_serial(csa.netlist, stim, faults);
+  fault::FaultSimOptions serial;
+  serial.num_threads = 1;
+  serial.engine = fault::FaultSimEngine::FullSweep;
+  const auto slow = fault::simulate_faults(csa.netlist, stim, faults, serial);
   ASSERT_EQ(fast.detect_cycle, slow.detect_cycle);
 }
 

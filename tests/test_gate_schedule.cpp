@@ -16,7 +16,6 @@
 #include "designs/reference.hpp"
 #include "designs/registry.hpp"
 #include "fault/schedule_cache.hpp"
-#include "fault/serial.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
 #include "gate/passes/pass.hpp"
