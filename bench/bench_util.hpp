@@ -70,10 +70,11 @@ inline void heading(const std::string& title) {
 inline void engine_stats(const std::string& label,
                          const fault::FaultSimStats& s) {
   if (s.batches == 0) return;
-  std::printf("  [%s: %s engine, %llu batches, mean cone %.1f%%, "
-              "gate-eval savings %.1f%%, early exit %.0f cyc/batch]\n",
+  std::printf("  [%s: %s engine, %llu batches, %llu segments, mean cone "
+              "%.1f%%, gate-eval savings %.1f%%, early exit %.0f cyc/batch]\n",
               label.c_str(), fault::fault_sim_engine_name(s.engine),
               static_cast<unsigned long long>(s.batches),
+              static_cast<unsigned long long>(s.segments),
               100.0 * s.mean_cone_fraction(), 100.0 * s.gate_eval_savings(),
               s.mean_early_exit_cycles());
 }

@@ -202,7 +202,8 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       "     \"seconds\": %.6f, \"vectors_per_s\": %.1f, \"faults_per_s\": "
       "%.1f, \"fault_vectors_per_s\": %.3e,\n"
       "     \"detected\": %zu,\n"
-      "     \"stats\": {\"batches\": %llu, \"cycles_simulated\": %llu, "
+      "     \"stats\": {\"batches\": %llu, \"segments\": %llu, "
+      "\"cycles_simulated\": %llu, "
       "\"cycles_budgeted\": %llu,\n"
       "       \"gates_evaluated\": %llu, \"gates_full_sweep\": %llu, "
       "\"good_trace_cycles\": %llu,\n"
@@ -221,6 +222,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       double(vectors) / r.seconds, double(faults) / r.seconds,
       double(vectors) * double(faults) / r.seconds, r.result.detected,
       static_cast<unsigned long long>(s.batches),
+      static_cast<unsigned long long>(s.segments),
       static_cast<unsigned long long>(s.cycles_simulated),
       static_cast<unsigned long long>(s.cycles_budgeted),
       static_cast<unsigned long long>(s.gates_evaluated),

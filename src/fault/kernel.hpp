@@ -37,34 +37,50 @@
 
 namespace fdbist::fault::detail {
 
+/// The cycles one kernel run covers: it steps cycles [start, end) and
+/// records detections only in [record, end). A whole batch is
+/// {0, 0, budget}: from reset, every cycle recorded. A time segment of a
+/// batch starts past reset — its in-cone registers load the good
+/// machine's state from GoodTrace row `start`, broadcast to every lane —
+/// and warms up for record - start cycles. Its detections are exact
+/// once that warm-up reaches the netlist's register depth
+/// (gate::CompiledSchedule::register_depth); a shorter one may miss or
+/// delay a detection.
+struct Window {
+  std::size_t start = 0;
+  std::size_t record = 0;
+  std::size_t end = 0;
+};
+
 /// Per-worker batch executor. One instance per worker thread; the
 /// compiled schedule is shared read-only.
 class BatchWorker {
 public:
   virtual ~BatchWorker() = default;
 
-  /// One batch of `batch.size()` faults (at most lanes-1) from reset
-  /// through the first `budget` vectors. Writes first-detection cycles
-  /// for the batch's own faults (disjoint detect_cycle entries across
-  /// batches) and appends the indices still undetected to `survivors`
-  /// in fault order. `trace` selects the engine: non-null runs the
-  /// cone-restricted compiled sweep, null the full-netlist reference
-  /// sweep. `full_sweep_gates` is the logic-gate count of the
-  /// *unoptimized* netlist, so gate_eval_savings stays comparable
+  /// One batch of `batch.size()` faults (at most lanes-1) over
+  /// `window`. Writes the first recorded detection cycle of the fault at
+  /// batch position k to detect[k] (entries of undetected faults are
+  /// left alone) and returns how many faults it detected. `trace`
+  /// selects the engine: non-null runs the cone-restricted compiled
+  /// sweep, null the full-netlist reference sweep, which only runs
+  /// windows from reset. `full_sweep_gates` is the logic-gate count of
+  /// the *unoptimized* netlist, so gate_eval_savings stays comparable
   /// across pass configurations. When `sig.enabled()` (and
   /// `signature_detect` non-null), the batch also runs a bit-sliced
-  /// difference MISR per lane — early exit is suppressed so every lane
-  /// absorbs the full budget — and sets signature_detect[i] for faults
-  /// whose final signature differs from the good machine's.
-  virtual void run_batch(std::span<const Fault> faults,
-                         std::span<const std::int64_t> stimulus,
-                         std::span<const std::size_t> batch,
-                         std::size_t budget, const gate::GoodTrace* trace,
-                         std::uint64_t full_sweep_gates,
-                         std::int32_t* detect_cycle,
-                         std::vector<std::size_t>& survivors,
-                         const SignatureOptions& sig,
-                         std::uint8_t* signature_detect) = 0;
+  /// difference MISR per lane — the window must then be a whole batch,
+  /// and early exit is suppressed so every lane absorbs the full budget
+  /// — and sets signature_detect[i] for faults i whose final signature
+  /// differs from the good machine's.
+  virtual std::size_t run_batch(std::span<const Fault> faults,
+                                std::span<const std::int64_t> stimulus,
+                                std::span<const std::size_t> batch,
+                                const Window& window,
+                                const gate::GoodTrace* trace,
+                                std::uint64_t full_sweep_gates,
+                                std::int32_t* detect,
+                                const SignatureOptions& sig,
+                                std::uint8_t* signature_detect) = 0;
 
   FaultSimStats stats;
 };
@@ -93,6 +109,19 @@ common::SimdBackend resolve_simd_backend(common::SimdBackend requested);
 /// if the request cannot run here).
 const BatchKernel& batch_kernel(common::SimdBackend resolved);
 
+/// simulate_faults with each batch of a segmentable final pass split
+/// into `segments` time segments (at most one per budget cycle) instead
+/// of the planner's count; 0 keeps the planner. Passes the planner
+/// never segments — non-final, signature, FullSweep, or a cyclic
+/// netlist — stay whole at any value. Verdicts are bit-identical for
+/// every value; tests and the differential oracle use this to pin
+/// segment counts the planner would not choose.
+FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
+                                         std::span<const std::int64_t> stimulus,
+                                         std::span<const Fault> faults,
+                                         const FaultSimOptions& opt,
+                                         std::size_t segments);
+
 // --- helpers compiled with baseline flags (kernel.cpp), so the ISA TUs
 // --- never instantiate shared std::vector machinery themselves.
 
@@ -100,12 +129,6 @@ const BatchKernel& batch_kernel(common::SimdBackend resolved);
 void collect_batch_sites(std::span<const Fault> faults,
                          std::span<const std::size_t> batch,
                          std::vector<gate::NetId>& sites);
-
-/// Scan detected lane words into `survivors` (batch members whose lane
-/// k+1 is still clear), in fault order.
-void append_survivors(std::span<const std::size_t> batch,
-                      const std::uint64_t* detected_words,
-                      std::vector<std::size_t>& survivors);
 
 /// The output-to-MISR wiring: every output bit o is folded (XORed) into
 /// MISR bit o mod width, so a MISR narrower than the output word still

@@ -18,18 +18,26 @@ public:
 
   explicit BatchWorkerT(const gate::CompiledSchedule& sched) : sim_(sched) {}
 
-  /// One batch from reset through the first `budget` vectors. Because
-  /// every batch restarts from reset with the same stimulus prefix,
-  /// detection cycles are exact regardless of how faults are staged
-  /// into batches — or how many lanes a word carries.
-  void run_batch(std::span<const Fault> faults,
-                 std::span<const std::int64_t> stimulus,
-                 std::span<const std::size_t> batch, std::size_t budget,
-                 const gate::GoodTrace* trace,
-                 std::uint64_t full_sweep_gates, std::int32_t* detect_cycle,
-                 std::vector<std::size_t>& survivors,
-                 const SignatureOptions& sig,
-                 std::uint8_t* signature_detect) override {
+  /// One batch over `window`. A window from reset is exact by
+  /// construction: every batch replays the same stimulus prefix, so
+  /// detection cycles never depend on how faults are staged into
+  /// batches — or how many lanes a word carries. A window past reset
+  /// is exact once its warm-up covers the register depth (kernel.hpp).
+  std::size_t run_batch(std::span<const Fault> faults,
+                        std::span<const std::int64_t> stimulus,
+                        std::span<const std::size_t> batch,
+                        const Window& window, const gate::GoodTrace* trace,
+                        std::uint64_t full_sweep_gates, std::int32_t* detect,
+                        const SignatureOptions& sig,
+                        std::uint8_t* signature_detect) override {
+    const bool sig_on = sig.enabled() && signature_detect != nullptr;
+    FDBIST_REQUIRE(window.start <= window.record &&
+                       window.record <= window.end,
+                   "kernel window out of order");
+    FDBIST_REQUIRE(window.start == 0 || trace != nullptr,
+                   "a window past reset needs the good trace");
+    FDBIST_REQUIRE(!sig_on || window.record == 0,
+                   "signature batches absorb every cycle from reset");
     sim_.reset();
     sim_.clear_faults();
     // Faults may only land in the lanes this batch scans below.
@@ -49,12 +57,21 @@ public:
       sim_.schedule().collect_cone(sites_, ws_, cone_);
       cone_gates = cone_.gates.size();
     }
+    if (window.start > 0) {
+      // Out-of-cone registers are never read: the boundary comes from
+      // the trace.
+      const std::uint64_t* row = trace->row(window.start);
+      const auto& regs = sim_.netlist().registers();
+      const std::span<W> state = sim_.register_state();
+      for (const std::int32_t r : cone_.regs)
+        state[std::size_t(r)] = gate::GoodTrace::broadcast_as<W>(
+            row, regs[std::size_t(r)].q);
+    }
 
     // Difference-MISR state, one bit-sliced register slot per MISR bit.
     // Lane 0 carries the good machine (no fault masks it), so a net's
     // lane-0 bit broadcast is the good value under both engines and the
     // XOR against it is the per-lane difference stream.
-    const bool sig_on = sig.enabled() && signature_detect != nullptr;
     if (sig_on) {
       collect_signature_nets(sim_.netlist(), sig,
                              trace != nullptr ? &cone_ : nullptr, sig_nets_);
@@ -64,18 +81,21 @@ public:
     W detected = W::zero();
     std::size_t found = 0;
     std::size_t cycles = 0;
-    for (std::size_t t = 0; t < budget; ++t) {
-      W newly;
+    for (std::size_t t = window.start; t < window.end; ++t) {
+      const std::uint64_t* row = nullptr;
       if (trace != nullptr) {
-        const std::uint64_t* row = trace->row(t);
+        row = trace->row(t);
         sim_.step_cone(cone_, row);
-        newly = sim_.cone_output_mismatch_wide(cone_, row) & live & ~detected;
       } else {
         sim_.step_broadcast(stimulus[t]);
-        newly = sim_.output_mismatch_wide() & live & ~detected;
       }
       if (sig_on) absorb_difference(sig);
       ++cycles;
+      if (t < window.record) continue; // warm-up
+      const W newly = (row != nullptr
+                           ? sim_.cone_output_mismatch_wide(cone_, row)
+                           : sim_.output_mismatch_wide()) &
+                      live & ~detected;
       if (newly.none()) continue;
       detected |= newly;
       for (int wi = 0; wi < Words; ++wi) {
@@ -84,7 +104,7 @@ public:
           const int bit = std::countr_zero(m);
           m &= m - 1;
           const std::size_t lane = std::size_t(wi) * 64 + std::size_t(bit);
-          detect_cycle[batch[lane - 1]] = static_cast<std::int32_t>(t);
+          detect[lane - 1] = static_cast<std::int32_t>(t);
           ++found;
         }
       }
@@ -92,7 +112,6 @@ public:
       // batches always run the full budget.
       if (!sig_on && found == batch.size()) break;
     }
-    append_survivors(batch, detected.w, survivors);
     if (sig_on) {
       W nonzero = W::zero();
       for (int b = 0; b < sig.width; ++b) nonzero |= sig_state_[b];
@@ -100,15 +119,21 @@ public:
       mark_signature_detects(batch, nonzero.w, signature_detect);
     }
 
-    stats.batches += 1;
+    // A batch counts once, at its first segment (the one recording from
+    // cycle 0); every segment is a kernel run.
+    stats.segments += 1;
+    if (window.record == 0) {
+      stats.batches += 1;
+      stats.cone_fraction_sum += full_sweep_gates == 0
+                                     ? 1.0
+                                     : double(cone_gates) /
+                                           double(full_sweep_gates);
+    }
     stats.cycles_simulated += cycles;
-    stats.cycles_budgeted += budget;
+    stats.cycles_budgeted += window.end - window.start;
     stats.gates_evaluated += std::uint64_t(cone_gates) * cycles;
     stats.gates_full_sweep += full_sweep_gates * cycles;
-    stats.cone_fraction_sum += full_sweep_gates == 0
-                                   ? 1.0
-                                   : double(cone_gates) /
-                                         double(full_sweep_gates);
+    return found;
   }
 
 private:

@@ -1,6 +1,7 @@
 #include "fault/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -137,6 +138,23 @@ std::size_t compiled_mem_estimate(std::size_t nets, std::size_t cycles,
          workers * nets * (lane_width / 8);
 }
 
+/// Time segments per batch of a final word-compare pass over a
+/// feed-forward netlist of register depth `depth`. Enough segments to
+/// give a pass of `batches` batches about kSegmentTarget kernel runs —
+/// work for idle workers when a pass is a few long batches — but never
+/// so many that a segment is shorter than 32 warm-ups, so the warm-up
+/// cycles stay under ~3% of the pass. A pure function of the pass:
+/// never of the thread count, so counters and verdicts are identical at
+/// any num_threads.
+constexpr std::size_t kSegmentTarget = 8;
+
+std::size_t plan_segments(std::size_t batches, std::size_t budget,
+                          std::size_t depth) {
+  const std::size_t fill = (kSegmentTarget + batches - 1) / batches;
+  const std::size_t cheap = budget / (32 * std::max<std::size_t>(depth, 1));
+  return std::max<std::size_t>(1, std::min(fill, cheap));
+}
+
 std::uint64_t now_ns() {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now().time_since_epoch())
@@ -145,10 +163,13 @@ std::uint64_t now_ns() {
 
 } // namespace
 
-FaultSimResult simulate_faults(const gate::Netlist& nl,
-                               std::span<const std::int64_t> stimulus,
-                               std::span<const Fault> faults,
-                               const FaultSimOptions& opt) {
+namespace detail {
+
+FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
+                                         std::span<const std::int64_t> stimulus,
+                                         std::span<const Fault> faults,
+                                         const FaultSimOptions& opt,
+                                         std::size_t forced_segments) {
   FDBIST_REQUIRE(nl.inputs().size() == 1,
                  "fault simulation drives a single primary input");
   FDBIST_REQUIRE(!nl.outputs().empty(), "netlist has no observed outputs");
@@ -312,63 +333,92 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
     }
   }
 
-  // One pass over `indices` with the first `budget` vectors: the
-  // batches are sharded dynamically across workers, each owning a
-  // private executor (a width-dispatched BatchWorker over the shared
-  // schedule) and writing disjoint detect_cycle entries. Per-batch
-  // survivor lists are concatenated in batch order afterwards, which
-  // makes the returned order — and therefore the batch composition of
-  // the next pass — identical to the sequential engine's for any
-  // thread count.
+  // Time segmentation (gate::CompiledSchedule::register_depth): on a
+  // feed-forward netlist, a segment [t0, t1) of a final pass may start
+  // at t0 - D from the good state and warm up for D cycles; a fault's
+  // detect cycle is then its earliest detection over the segments.
+  // Only final word-compare passes of the compiled engine qualify: a
+  // signature must absorb every cycle from reset, FullSweep stays the
+  // whole-batch reference, and a cyclic netlist never forgets its
+  // start state.
+  const std::optional<std::size_t> depth = sched.register_depth();
+  const bool segmentable = trace_ptr != nullptr && !sig_on && depth;
+
+  // One pass over `indices` with the first `budget` vectors. Its
+  // batches — or, time-segmented, each batch's segments — are sharded
+  // dynamically across workers, each owning a private executor (a
+  // width-dispatched BatchWorker over the shared schedule). A kernel
+  // run writes its own slice of `detect`; the slices merge after the
+  // join, and survivors are collected in batch order, which makes the
+  // returned order — and therefore the batch composition of the next
+  // pass — identical to the sequential engine's for any thread count.
   //
-  // Cancellation stops workers at batch boundaries: a batch that never
-  // ran leaves its faults unfinalized (and out of the survivor list, so
-  // a later pass never touches them either). Batches that did run keep
-  // their verdicts — the partial result is valid, just incomplete.
+  // Cancellation stops workers at kernel-run boundaries: a batch whose
+  // runs did not all finish leaves its faults unfinalized (and out of
+  // the survivor list, so a later pass never touches them either) — a
+  // later segment's detection is never reported without the earlier
+  // segments' verdicts. Batches that did finish keep their verdicts:
+  // the partial result is valid, just incomplete.
   auto run_pass = [&](const std::vector<std::size_t>& indices,
                       std::size_t budget, bool final_pass) {
-    const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
+    const std::size_t n = indices.size();
+    const std::size_t num_batches = (n + fpb - 1) / fpb;
+    std::size_t segs = 1;
+    if (final_pass && segmentable)
+      segs = std::min(budget, forced_segments != 0
+                                  ? forced_segments
+                                  : plan_segments(num_batches, budget, *depth));
+    const std::size_t runs = num_batches * segs;
     const std::size_t workers =
-        std::max<std::size_t>(1, std::min(threads, num_batches));
+        std::max<std::size_t>(1, std::min(threads, runs));
     std::vector<std::unique_ptr<detail::BatchWorker>> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
       pool.push_back(kernel.make_worker(sched));
 
-    std::vector<std::vector<std::size_t>> batch_survivors(num_batches);
-    std::vector<std::uint8_t> batch_ran(num_batches, 0);
+    // detect[k * n + p]: segment k's detection of the fault at pass
+    // position p, -1 if none in that segment.
+    std::vector<std::int32_t> detect(segs * n, -1);
+    std::vector<std::atomic<std::size_t>> segs_done(num_batches);
     common::parallel_for(
-        num_batches, workers, opt.cancel,
-        [&](std::size_t worker, std::size_t b) {
+        runs, workers, opt.cancel, [&](std::size_t worker, std::size_t run) {
+          const std::size_t b = run / segs;
+          const std::size_t k = run % segs;
           const std::size_t base = b * fpb;
-          const std::size_t count = std::min(fpb, indices.size() - base);
-          std::vector<std::size_t>& survivors = batch_survivors[b];
-          pool[worker]->run_batch(
-              sim_faults, stimulus, {indices.data() + base, count}, budget,
-              trace_ptr, full_sweep_gates, result.detect_cycle.data(),
-              survivors, opt.signature,
+          const std::size_t count = std::min(fpb, n - base);
+          const std::size_t t0 = k * budget / segs;
+          const detail::Window window{t0 - std::min(t0, depth.value_or(0)),
+                                      t0, (k + 1) * budget / segs};
+          const std::size_t found = pool[worker]->run_batch(
+              sim_faults, stimulus, {indices.data() + base, count}, window,
+              trace_ptr, full_sweep_gates, detect.data() + k * n + base,
+              opt.signature,
               sig_on ? result.signature_detect.data() : nullptr);
-          batch_ran[b] = 1;
-          report_finalized(final_pass ? count : count - survivors.size());
+          if (segs_done[b].fetch_add(1) + 1 == segs)
+            report_finalized(final_pass ? count : found);
         });
 
     // Worker-local stats merge after the join; the sums are over the
-    // set of batches that ran, so they are order- and thread-count-
-    // independent on complete runs.
+    // set of kernel runs that finished, so they are order- and
+    // thread-count-independent on complete runs.
     for (const auto& w : pool) result.stats.merge(w->stats);
 
     std::vector<std::size_t> survivors;
     for (std::size_t b = 0; b < num_batches; ++b) {
-      if (!batch_ran[b]) continue;
+      if (segs_done[b] != segs) continue;
       const std::size_t base = b * fpb;
-      const std::size_t count = std::min(fpb, indices.size() - base);
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t idx = indices[base + k];
-        if (final_pass || result.detect_cycle[idx] >= 0)
-          result.finalized[idx] = 1;
+      const std::size_t count = std::min(fpb, n - base);
+      for (std::size_t p = base; p < base + count; ++p) {
+        // Segments record disjoint, ascending cycle ranges, so the
+        // first one that saw the fault saw it earliest.
+        std::int32_t cycle = -1;
+        for (std::size_t k = 0; k < segs && cycle < 0; ++k)
+          cycle = detect[k * n + p];
+        const std::size_t idx = indices[p];
+        result.detect_cycle[idx] = cycle;
+        if (final_pass || cycle >= 0) result.finalized[idx] = 1;
+        if (cycle < 0) survivors.push_back(idx);
       }
-      survivors.insert(survivors.end(), batch_survivors[b].begin(),
-                       batch_survivors[b].end());
     }
     return survivors;
   };
@@ -399,6 +449,15 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   result.stats.lane_width = kernel.lanes();
   result.stats.simd = kernel.backend();
   return result;
+}
+
+} // namespace detail
+
+FaultSimResult simulate_faults(const gate::Netlist& nl,
+                               std::span<const std::int64_t> stimulus,
+                               std::span<const Fault> faults,
+                               const FaultSimOptions& opt) {
+  return detail::simulate_faults_segmented(nl, stimulus, faults, opt, 0);
 }
 
 FaultSimResult simulate_design(const gate::LoweredDesign& d,

@@ -3,11 +3,15 @@
 // Classic N-1-faults-per-word scheme: lane 0 is the good machine, the
 // remaining lanes of the simulation word (63, 255 or 511 depending on
 // the SIMD backend — common/simd.hpp) each carry one injected stuck-at
-// fault. Each batch runs the full stimulus (with each fault's own
+// fault. A batch runs the stimulus from reset (with each fault's own
 // register state evolving in its lane) until every fault in the batch
-// has produced an output difference or the vector budget is exhausted. Detection is observation at the filter's
-// output word with no response compaction — the paper's "no aliasing in
-// the response analyzer" assumption.
+// has produced an output difference or the vector budget is exhausted.
+// On a feed-forward netlist the long final pass may instead split each
+// batch over time: a segment starts from the good machine's state one
+// register depth before its first cycle, warms up, and records only its
+// own cycles (see simulate_faults). Detection is observation at the
+// filter's output word with no response compaction — the paper's "no
+// aliasing in the response analyzer" assumption.
 //
 // One shared batch kernel serves every layer: the serial reference is
 // the kernel with num_threads = 1 on the full-sweep engine, the
@@ -64,10 +68,16 @@ struct FaultSimStats {
   /// Engine that ran (never Auto in a result).
   FaultSimEngine engine = FaultSimEngine::Auto;
   std::uint64_t batches = 0;
-  /// Clock cycles actually stepped across all batches.
+  /// Kernel runs: one per batch, plus one per extra time segment of a
+  /// time-segmented batch, so it equals `batches` when no pass was
+  /// segmented.
+  std::uint64_t segments = 0;
+  /// Clock cycles actually stepped across all kernel runs, time-segment
+  /// warm-ups included.
   std::uint64_t cycles_simulated = 0;
-  /// Clock cycles batches were budgeted for; the difference from
-  /// cycles_simulated is early exit (every fault in the batch detected).
+  /// Clock cycles kernel runs were budgeted for (warm-ups included); the
+  /// difference from cycles_simulated is early exit (every fault of the
+  /// run detected).
   std::uint64_t cycles_budgeted = 0;
   /// Logic-gate evaluations performed in batch clock loops.
   std::uint64_t gates_evaluated = 0;
@@ -148,6 +158,7 @@ struct FaultSimStats {
       simd = o.simd;
     }
     batches += o.batches;
+    segments += o.segments;
     cycles_simulated += o.cycles_simulated;
     cycles_budgeted += o.cycles_budgeted;
     gates_evaluated += o.gates_evaluated;
@@ -218,11 +229,13 @@ struct FaultSimOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 
   /// Optional cooperative cancellation (caller keeps ownership; the
-  /// token must outlive the call). Workers poll at batch
-  /// boundaries: once the token fires — explicit cancel() or an expired
-  /// deadline — no new batch starts, in-flight batches finish, and a
-  /// valid *partial* FaultSimResult comes back with complete == false.
-  /// Coverage-so-far is reported, never discarded.
+  /// token must outlive the call). Workers poll at kernel-run
+  /// boundaries (a batch, or one time segment of a batch): once the
+  /// token fires — explicit cancel() or an expired deadline — no new
+  /// run starts, in-flight runs finish, and a valid *partial*
+  /// FaultSimResult comes back with complete == false. A batch counts
+  /// only if all its segments ran. Coverage-so-far is reported, never
+  /// discarded.
   const common::CancelToken* cancel = nullptr;
 
   /// Batch engine. Auto resolves to Compiled unless the trace plus the
@@ -346,9 +359,18 @@ struct FaultSimResult {
 /// cycles. Deterministic for any FaultSimOptions::num_threads; batches
 /// of lanes-1 faults in the given order (the lane count follows the
 /// resolved SIMD backend). Each fault's detect cycle is a pure
-/// function of (netlist, stimulus, fault) — batch composition and fault
-/// ordering never change it — which is what makes sliced/checkpointed
-/// campaigns (dist/coordinator.hpp) bit-identical to one-shot runs.
+/// function of (netlist, stimulus, fault) — batch composition, fault
+/// ordering and time segmentation never change it — which is what
+/// makes sliced/checkpointed campaigns (dist/coordinator.hpp)
+/// bit-identical to one-shot runs.
+///
+/// Two stages: a 128-cycle pass over every fault, then a full-budget
+/// pass over its survivors. On a feed-forward netlist (finite
+/// gate::CompiledSchedule::register_depth D) the compiled engine's
+/// final word-compare pass splits each batch into S time segments,
+///   S = max(1, min(ceil(8 / batches), budget / (32 max(D, 1)))),
+/// so a pass of one long batch still feeds several workers. S never
+/// depends on the thread count.
 FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,

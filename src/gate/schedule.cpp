@@ -62,6 +62,7 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl) : nl_(nl), n_(nl.size()) {
   is_output_.assign(n_, 0);
   for (const auto& group : nl_.outputs())
     for (const NetId o : group) is_output_[std::size_t(o)] = 1;
+  compute_register_depth();
 }
 
 CompiledSchedule::CompiledSchedule(const Netlist& nl, RestoreParts&& parts)
@@ -75,6 +76,35 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl, RestoreParts&& parts)
                     is_output_.size() == n_ &&
                     fan_.size() == std::size_t(fan_start_[n_]),
                 "restored schedule arrays do not match the netlist");
+  compute_register_depth();
+}
+
+void CompiledSchedule::compute_register_depth() {
+  // Kahn's topological walk over the fan-out CSR. The only edge into a
+  // RegOut net is its register's D->Q edge, which adds one register to
+  // the path; operand edges add none. Nets the walk never reaches lie
+  // on or behind a cycle, and combinational logic is acyclic (ascending
+  // ids), so any cycle runs through a register.
+  std::vector<std::uint32_t> pending(n_, 0);
+  for (const NetId s : fan_) ++pending[std::size_t(s)];
+  std::vector<std::uint32_t> depth(n_, 0);
+  std::vector<NetId> ready;
+  for (std::size_t i = 0; i < n_; ++i)
+    if (pending[i] == 0) ready.push_back(static_cast<NetId>(i));
+  std::size_t visited = 0;
+  std::uint32_t deepest = 0;
+  while (!ready.empty()) {
+    const auto g = std::size_t(ready.back());
+    ready.pop_back();
+    ++visited;
+    deepest = std::max(deepest, depth[g]);
+    for (const NetId succ : fanout(static_cast<NetId>(g))) {
+      const auto s = std::size_t(succ);
+      depth[s] = std::max(depth[s], depth[g] + (reg_of_[s] >= 0 ? 1u : 0u));
+      if (--pending[s] == 0) ready.push_back(succ);
+    }
+  }
+  if (visited == n_) depth_ = deepest;
 }
 
 void CompiledSchedule::collect_cone(std::span<const NetId> sites,

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -121,6 +122,17 @@ public:
     return is_output_[std::size_t(id)] != 0;
   }
 
+  /// Longest register path D: the most registers on any path through
+  /// the netlist (operand edges count 0, D->Q edges count 1). After D
+  /// clocks every register holds a function of the last D inputs alone,
+  /// whatever state it started from — and a stuck-at fault on a logic
+  /// gate adds no state, so the same holds in every faulty lane. The
+  /// fault engine splits long batches into time segments on that bound
+  /// (fault/simulator.cpp). nullopt when the netlist has a register
+  /// cycle (feedback never forgets its start state). Computed by both
+  /// constructors in linear time, never stored in an artifact.
+  std::optional<std::size_t> register_depth() const { return depth_; }
+
   /// The union of structural fan-out cones of a batch of fault sites,
   /// decomposed into exactly what the cone-restricted executor needs.
   struct Cone {
@@ -167,6 +179,8 @@ public:
                     Cone& out) const;
 
 private:
+  void compute_register_depth();
+
   const Netlist& nl_;
   std::size_t n_ = 0;
   std::size_t logic_gates_ = 0;
@@ -177,6 +191,7 @@ private:
   std::vector<NetId> fan_;              ///< CSR adjacency
   std::vector<std::int32_t> reg_of_;    ///< Q net -> register index, else -1
   std::vector<std::uint8_t> is_output_;
+  std::optional<std::size_t> depth_;
 };
 
 } // namespace fdbist::gate

@@ -6,7 +6,10 @@
 #include <unordered_set>
 
 #include "fault/fault.hpp"
+#include "fault/kernel.hpp"
 #include "gate/lower.hpp"
+#include "gate/passes/pass.hpp"
+#include "gate/schedule.hpp"
 #include "gate/sim.hpp"
 #include "rtl/sim.hpp"
 
@@ -153,6 +156,8 @@ Finding check_stats_invariants(const fault::FaultSimResult& r,
   if (fault_count > 0 && s.batches < (fault_count + fpb - 1) / fpb)
     return fail("fewer batches than the fault universe requires at " +
                 std::to_string(s.lane_width) + " lanes");
+  if (s.segments < s.batches)
+    return fail("fewer kernel runs than batches");
   if (s.cycles_budgeted < s.cycles_simulated)
     return fail("simulated more cycles than budgeted");
   if (s.gates_evaluated > s.gates_full_sweep)
@@ -307,6 +312,35 @@ Finding check_filter_case(const FilterCase& c) {
         std::string("Compiled/only-") + gate::pass_name(kind);
     if (auto f = diff_verdicts(ref, "FullSweep", one, one_name.c_str()))
       return f;
+  }
+
+  // Row 4c: time segments. The fuzz stimuli are far too short for the
+  // planner to segment, so force 2 and 3 segments per final-pass batch:
+  // a feed-forward case must reproduce the FullSweep verdicts from
+  // segments that warm up for the register depth, and a case with
+  // feedback must take the whole-batch path.
+  {
+    std::vector<gate::NetId> sites;
+    sites.reserve(faults.size());
+    for (const fault::Fault& f : faults) sites.push_back(f.gate);
+    const auto piped =
+        gate::run_passes(low.netlist, sites, gate::PassOptions{});
+    const bool cyclic =
+        !gate::CompiledSchedule(piped.netlist).register_depth();
+    for (const std::size_t segments : {2, 3}) {
+      const auto seg = fault::detail::simulate_faults_segmented(
+          low.netlist, stim, faults, cone, segments);
+      if (auto f = check_stats_invariants(seg, cone.engine, faults.size(),
+                                          stim.size()))
+        return f;
+      const std::string name =
+          "Compiled/" + std::to_string(segments) + "-segments";
+      if (auto f = diff_verdicts(ref, "FullSweep", seg, name.c_str()))
+        return f;
+      if (cyclic && seg.stats.segments != seg.stats.batches)
+        return Finding::fail("segments: " + name + " split batches of a "
+                             "netlist with register feedback");
+    }
   }
 
   // Row 5: the sliced campaign's execution shape, in memory — one

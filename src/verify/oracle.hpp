@@ -7,6 +7,7 @@
 //   FilterCase  rtl::Simulator  vs  gate::WordSim        output words
 //               linear model (rtl/linear_model.hpp)      |y| <= L1 bound
 //               Compiled engine vs  FullSweep engine     detect cycles
+//               2/3 time segments vs FullSweep engine    detect cycles
 //               one-shot engine vs  sliced campaign      detect cycles
 //               FaultSimResult::stats                    self-consistency
 //

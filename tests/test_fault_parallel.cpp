@@ -121,6 +121,7 @@ TEST(FaultParallel, EngineStatsDeterministicAcrossThreadCounts) {
     const auto r = run_with(threads);
     EXPECT_EQ(r.stats.engine, baseline.stats.engine);
     EXPECT_EQ(r.stats.batches, baseline.stats.batches);
+    EXPECT_EQ(r.stats.segments, baseline.stats.segments);
     EXPECT_EQ(r.stats.cycles_simulated, baseline.stats.cycles_simulated);
     EXPECT_EQ(r.stats.cycles_budgeted, baseline.stats.cycles_budgeted);
     EXPECT_EQ(r.stats.gates_evaluated, baseline.stats.gates_evaluated);

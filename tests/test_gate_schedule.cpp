@@ -4,10 +4,13 @@
 // cone-restricted engine must be bit-identical to the full-sweep
 // reference — on small netlists, randomized lowered netlists, and all
 // three paper filters. The time-parallel good-trace recorder must equal
-// a serial broadcast run on every registered design.
+// a serial broadcast run on every registered design. The register depth
+// must be pinned on the registry, survive an artifact round trip, and
+// be exactly the warm-up a time segment needs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "common/env.hpp"
 #include "designs/reference.hpp"
 #include "designs/registry.hpp"
+#include "fault/kernel.hpp"
 #include "fault/schedule_cache.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
@@ -261,6 +265,114 @@ TEST(GoodTrace, ToggleRegisterNeedsOneSweepPerSegment) {
                precondition_error);
 }
 
+TEST(RegisterDepth, PinnedOnTheRegistryFreshAndRestored) {
+  // Feed-forward designs report their longest register path, IIR4's
+  // feedback reports a cycle — on the pass-optimized netlist the
+  // compiled engine runs, freshly compiled and restored from FDBA bytes.
+  const std::vector<std::pair<const char*, std::optional<std::size_t>>>
+      pins = {{"LP", 60}, {"BP", 58}, {"HP", 61}, {"DEC2", 16},
+              {"IIR4", std::nullopt}};
+  ASSERT_EQ(pins.size(), designs::design_registry().size());
+  for (const auto& [name, depth] : pins) {
+    SCOPED_TRACE(name);
+    const auto d = designs::make_design(name);
+    const auto low = lower(d.graph);
+    const auto faults = fault::enumerate_adder_faults(low);
+    auto gen =
+        tpg::make_generator(tpg::GeneratorKind::LfsrD, d.stats().width_in);
+    const auto stim = gen->generate_raw(64);
+    const auto art =
+        fault::build_artifact(low.netlist, stim, faults, PassOptions{});
+    ASSERT_TRUE(art->schedule.has_value());
+    const CompiledSchedule fresh(art->netlist);
+    EXPECT_EQ(fresh.register_depth(), depth);
+    EXPECT_EQ(art->schedule->register_depth(), depth);
+    const auto back =
+        fault::deserialize_artifact(fault::serialize_artifact(*art), art->key);
+    ASSERT_TRUE(back) << back.error().to_string();
+    EXPECT_EQ((*back)->schedule->register_depth(), depth);
+  }
+}
+
+/// in -> NOT -> D registers in a chain -> output. The NOT gate is the
+/// only fault site; its effect reaches the output exactly D cycles later.
+Netlist register_chain(std::size_t depth, NetId& site) {
+  Netlist nl;
+  const NetId in = nl.add_gate(GateOp::Input);
+  site = nl.add_gate(GateOp::Not, in);
+  NetId prev = site;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const NetId q = nl.add_gate(GateOp::RegOut);
+    nl.registers().push_back({prev, q});
+    prev = q;
+  }
+  nl.inputs().push_back({in});
+  nl.outputs().push_back({prev});
+  return nl;
+}
+
+TEST(RegisterDepth, ChainAndSelfLoop) {
+  NetId site = kNoNet;
+  for (const std::size_t depth : {0, 1, 2, 7, 40}) {
+    const Netlist nl = register_chain(depth, site);
+    EXPECT_EQ(CompiledSchedule(nl).register_depth(), depth);
+  }
+  // q' = NOT q never forgets its start state.
+  Netlist loop;
+  const NetId in = loop.add_gate(GateOp::Input);
+  const NetId q = loop.add_gate(GateOp::RegOut);
+  const NetId d = loop.add_gate(GateOp::Not, q);
+  loop.registers().push_back({d, q});
+  loop.inputs().push_back({in});
+  loop.outputs().push_back({q});
+  EXPECT_FALSE(CompiledSchedule(loop).register_depth().has_value());
+  // A bare register feeding itself is a cycle too.
+  Netlist hold;
+  const NetId hin = hold.add_gate(GateOp::Input);
+  const NetId hq = hold.add_gate(GateOp::RegOut);
+  hold.registers().push_back({hq, hq});
+  hold.inputs().push_back({hin});
+  hold.outputs().push_back({hq});
+  EXPECT_FALSE(CompiledSchedule(hold).register_depth().has_value());
+}
+
+TEST(RegisterDepth, WarmUpMustCoverTheDepth) {
+  // NOT stuck-at-1 differs from the good machine only when the input is
+  // 1. A single 1 at cycle t0 - D is seen at the output at cycle t0, so
+  // the segment recording from t0 must simulate cycle t0 - D: a warm-up
+  // one cycle short starts after the difference entered the chain and
+  // never sees it.
+  constexpr std::size_t kDepth = 12;
+  constexpr std::size_t kT0 = 40;
+  NetId site = kNoNet;
+  const Netlist nl = register_chain(kDepth, site);
+  const CompiledSchedule sched(nl);
+  ASSERT_EQ(sched.register_depth(), kDepth);
+  std::vector<std::int64_t> stim(96, 0);
+  stim[kT0 - kDepth] = 1;
+  const auto trace = record_good_trace(sched, stim, stim.size());
+  const std::vector<fault::Fault> faults = {{site, PinSite::Output, 1}};
+  const std::vector<std::size_t> batch = {0};
+
+  const auto& kernel = fault::detail::batch_kernel(
+      fault::detail::resolve_simd_backend(common::SimdBackend::Auto));
+  auto worker = kernel.make_worker(sched);
+  auto detect_with_warmup = [&](std::size_t warmup) {
+    std::int32_t cycle = -1;
+    worker->run_batch(faults, stim, batch,
+                      {kT0 - warmup, kT0, stim.size()}, &trace,
+                      nl.logic_gate_count(), &cycle, {}, nullptr);
+    return cycle;
+  };
+  EXPECT_EQ(detect_with_warmup(kDepth), std::int32_t(kT0));
+  EXPECT_EQ(detect_with_warmup(kDepth + 5), std::int32_t(kT0));
+  EXPECT_EQ(detect_with_warmup(kDepth - 1), -1);
+
+  // The whole-batch run from reset agrees with the D-cycle warm-up.
+  const auto whole = fault::simulate_faults(nl, stim, faults);
+  EXPECT_EQ(whole.detect_cycle.front(), std::int32_t(kT0));
+}
+
 // The heart of the refactor: the cone-restricted compiled engine must be
 // bit-identical to the retained full-sweep reference.
 void expect_engines_identical(const Netlist& nl,
@@ -434,6 +546,7 @@ TEST(EngineStats, DeterministicAcrossThreadCounts) {
     on.num_threads = threads;
     const auto rn = fault::simulate_faults(low.netlist, stim, faults, on);
     EXPECT_EQ(rn.stats.batches, r1.stats.batches);
+    EXPECT_EQ(rn.stats.segments, r1.stats.segments);
     EXPECT_EQ(rn.stats.cycles_simulated, r1.stats.cycles_simulated);
     EXPECT_EQ(rn.stats.cycles_budgeted, r1.stats.cycles_budgeted);
     EXPECT_EQ(rn.stats.gates_evaluated, r1.stats.gates_evaluated);

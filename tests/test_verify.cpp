@@ -130,6 +130,11 @@ TEST(VerifyOracle, StatsInvariantsRejectTamperedResults) {
   EXPECT_TRUE(check_stats_invariants(tampered, opt.engine, faults.size(),
                                      stim.size())
                   .failed);
+  tampered = r;
+  tampered.stats.segments = tampered.stats.batches - 1;
+  EXPECT_TRUE(check_stats_invariants(tampered, opt.engine, faults.size(),
+                                     stim.size())
+                  .failed);
   // Asking for the wrong engine must also be flagged.
   EXPECT_TRUE(check_stats_invariants(r, fault::FaultSimEngine::FullSweep,
                                      faults.size(), stim.size())
