@@ -157,24 +157,28 @@ int usage() {
 
 /// Cache + preparation observability. Printed to stderr so the stdout
 /// coverage line stays byte-identical with and without a cache (the
-/// warm-cache smoke test diffs stdout directly).
-void print_cache_stats(const fault::FaultSimStats& s) {
+/// warm-cache smoke test diffs stdout directly). `scope` says whose
+/// work the counters cover when that is not the whole run.
+void print_cache_stats(const fault::FaultSimStats& s,
+                       const std::string& scope) {
   std::fprintf(stderr,
                "[cache] artifact hits mem %llu disk %llu, misses %llu, "
                "evictions %llu, load failures %llu, schedule compilations "
-               "%llu\n",
+               "%llu%s\n",
                static_cast<unsigned long long>(s.artifact_mem_hits),
                static_cast<unsigned long long>(s.artifact_disk_hits),
                static_cast<unsigned long long>(s.artifact_misses),
                static_cast<unsigned long long>(s.artifact_evictions),
                static_cast<unsigned long long>(s.artifact_load_failures),
-               static_cast<unsigned long long>(s.schedule_compilations));
+               static_cast<unsigned long long>(s.schedule_compilations),
+               scope.c_str());
   std::fprintf(stderr,
                "[prep] passes %.2f ms, compile %.2f ms, trace %.2f ms, "
-               "artifact load %.2f ms, build %.2f ms, save %.2f ms\n",
+               "artifact load %.2f ms, build %.2f ms, save %.2f ms%s\n",
                s.prep_passes_ns / 1e6, s.prep_compile_ns / 1e6,
                s.prep_trace_ns / 1e6, s.prep_artifact_load_ns / 1e6,
-               s.prep_artifact_build_ns / 1e6, s.prep_artifact_save_ns / 1e6);
+               s.prep_artifact_build_ns / 1e6, s.prep_artifact_save_ns / 1e6,
+               scope.c_str());
 }
 
 int cmd_design(Args a) {
@@ -295,9 +299,9 @@ struct Run {
   /// 2 + 64*N*2^-w expectation (DESIGN.md §13) when --signature is on.
   /// A run stopped early prints coverage-so-far instead, and its exit
   /// status says why.
-  int report(const fault::FaultSimResult& r,
-             std::optional<ErrorCode> stop) const {
-    if (cache != nullptr) print_cache_stats(r.stats);
+  int report(const fault::FaultSimResult& r, std::optional<ErrorCode> stop,
+             const std::string& cache_scope = "") const {
+    if (cache != nullptr) print_cache_stats(r.stats, cache_scope);
     if (!r.complete) {
       std::printf("partial (%s): finalized %zu/%zu faults, coverage-so-far "
                   "%.3f%% (%zu detected)\n",
@@ -353,7 +357,14 @@ int distribute(const Run& run, dist::DistOptions& dopt,
     return 1;
   }
   summary(*res);
-  return run.report(res->sim, res->stop_reason);
+  // Workers acquire their own artifacts and log their own counters; the
+  // coordinator's cover only the slices it ran inline.
+  std::string scope;
+  if (dopt.num_workers > 0)
+    scope = " (coordinator's inline slices: " +
+            std::to_string(res->inline_slices) + " of " +
+            std::to_string(res->slices) + "; workers log their own)";
+  return run.report(res->sim, res->stop_reason, scope);
 }
 
 /// A temporary directory removed, with its contents, on scope exit.

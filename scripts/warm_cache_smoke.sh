@@ -10,7 +10,10 @@
 #      the [cache] stderr line) — the amortization is real, not vacuous,
 #   4. a second `coordinate` pool against the same store logs
 #      "artifact reused" from its workers — the cross-process path loads
-#      the FDBA file instead of recompiling.
+#      the FDBA file instead of recompiling,
+#   5. a second cold run into its own cache directory leaves FDBA and
+#      FDBP (slice-*.part) files cmp-identical to the first cold run's —
+#      the writers emit no padding, uninitialised or host-order bytes.
 #
 # Usage: scripts/warm_cache_smoke.sh [path-to-fdbist_cli]
 set -u
@@ -55,6 +58,25 @@ diff -u "$workdir/ref.txt" "$workdir/cold.txt" ||
 ls "$cache"/fdba-*.fdba >/dev/null 2>&1 ||
   fail "cold run left no FDBA file in the cache directory"
 
+echo "== byte determinism: a second cold run into its own cache =="
+"$CLI" campaign $DESIGN $GEN $VECTORS --schedule-cache "$workdir/sched-cache-2" \
+  --checkpoint "$workdir/ck-cold2" >"$workdir/cold2.txt" 2>"$workdir/cold2.log" ||
+  fail "second cold cached campaign exited $?"
+# same_files DIR-A DIR-B GLOB: both directories hold the same GLOB files,
+# byte for byte.
+same_files() {
+  local n=0 f
+  for f in "$1"/$3; do
+    [[ -f "$f" ]] || fail "no $3 files in $1"
+    cmp -s "$f" "$2/${f##*/}" || fail "${f##*/} differs between $1 and $2"
+    n=$((n + 1))
+  done
+  [[ $(ls "$2"/$3 | wc -l) -eq $n ]] || fail "$2 holds extra $3 files"
+  echo "$n $3 files byte-identical"
+}
+same_files "$cache" "$workdir/sched-cache-2" 'fdba-*.fdba'
+same_files "$workdir/ck-cold" "$workdir/ck-cold2" 'slice-*.part'
+
 echo "== warm run: same cache directory, fresh checkpoint =="
 "$CLI" campaign $DESIGN $GEN $VECTORS --schedule-cache "$cache" \
   --checkpoint "$workdir/ck-warm" >"$workdir/warm.txt" 2>"$workdir/warm.log" ||
@@ -88,4 +110,5 @@ diff -u "$workdir/ref.txt" "$workdir/dist.txt" ||
   fail "distributed cached output differs from the reference"
 
 echo "warm_cache_smoke: PASS — byte-identical output cache-off/cold/warm," \
-     "warm hits $hits, distributed workers reused the stored artifact"
+     "byte-identical FDBA/FDBP files across cold runs, warm hits $hits," \
+     "distributed workers reused the stored artifact"

@@ -1,15 +1,10 @@
-// Shared FNV-1a hashing and native-endian record packing.
-//
-// The checkpoint (fault/checkpoint.cpp) and partial-result
-// (dist/partial.cpp) writers grew identical copies of these helpers;
-// they live here once so the two formats can never drift apart on the
-// hash constants. Everything is native-endian by design — these files
-// are local resume artifacts, not interchange formats.
+// Shared FNV-1a hashing: the workload fingerprints (fault/fault.hpp),
+// the artifact cache key, and the checksum that closes every binary
+// file (common/binfile.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <vector>
 
 namespace fdbist::common {
 
@@ -22,22 +17,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n);
 template <typename T>
 std::uint64_t fnv1a_value(std::uint64_t h, const T& v) {
   return fnv1a(h, &v, sizeof v);
-}
-
-/// Append the native byte representation of `v` to `out`.
-template <typename T>
-void put_bytes(std::vector<std::uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
-/// Read a T at `offset`, advancing it. Caller guarantees bounds.
-template <typename T>
-T take_bytes(const std::vector<std::uint8_t>& in, std::size_t& offset) {
-  T v;
-  std::memcpy(&v, in.data() + offset, sizeof v);
-  offset += sizeof v;
-  return v;
 }
 
 } // namespace fdbist::common

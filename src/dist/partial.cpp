@@ -1,25 +1,17 @@
 #include "dist/partial.hpp"
 
-#include <cstdio>
-#include <cstring>
-
 #include "common/atomic_file.hpp"
+#include "common/binfile.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
-#include "common/fingerprint.hpp"
 
 namespace fdbist::dist {
 
 namespace {
 
-using common::fnv1a;
-using common::kFnvSeed;
-using common::put_bytes;
-using common::take_bytes;
+namespace binfile = common::binfile;
 
 constexpr char kMagic[4] = {'F', 'D', 'B', 'P'};
-constexpr std::size_t kHeaderBytes = 80;
-constexpr std::size_t kChecksumBytes = 8;
 
 Error corrupt(const std::string& why) {
   return Error{ErrorCode::CorruptCheckpoint, "partial result " + why};
@@ -44,91 +36,69 @@ Expected<void> save_partial(const std::string& path, const SlicePartial& p) {
   FDBIST_REQUIRE(p.signature_detect.size() ==
                      (p.sig_width == 0 ? 0 : p.detect_cycle.size()),
                  "signature array must be empty or cover the slice");
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kHeaderBytes + p.detect_cycle.size() * sizeof(std::int32_t) +
-              p.signature_detect.size() + kChecksumBytes);
-  buf.insert(buf.end(), kMagic, kMagic + 4);
-  put_bytes(buf, kPartialVersion);
-  put_bytes(buf, p.fp.netlist);
-  put_bytes(buf, p.fp.stimulus);
-  put_bytes(buf, p.fp.faults);
-  put_bytes(buf, p.total_faults);
-  put_bytes(buf, p.vectors);
-  put_bytes(buf, p.lo);
-  put_bytes(buf, std::uint64_t{p.detect_cycle.size()});
-  put_bytes(buf, p.fp.family);
-  put_bytes(buf, p.sig_width);
-  put_bytes(buf, p.sig_taps);
-  put_bytes(buf, std::uint32_t{0}); // reserved
-  const auto* cycles =
-      reinterpret_cast<const std::uint8_t*>(p.detect_cycle.data());
-  buf.insert(buf.end(), cycles,
-             cycles + p.detect_cycle.size() * sizeof(std::int32_t));
-  buf.insert(buf.end(), p.signature_detect.begin(), p.signature_detect.end());
-  put_bytes(buf, fnv1a(kFnvSeed, buf.data(), buf.size()));
-  return common::atomic_write_file(path, buf, "partial");
+  binfile::Writer w(kMagic, kPartialVersion);
+  w.put_u64(p.fp.netlist);
+  w.put_u64(p.fp.stimulus);
+  w.put_u64(p.fp.faults);
+  w.put_u64(p.total_faults);
+  w.put_u64(p.vectors);
+  w.put_u64(p.lo);
+  w.put_u64(p.detect_cycle.size());
+  w.put_u32(p.fp.family);
+  w.put_u32(p.sig_width);
+  w.put_u32(p.sig_taps);
+  w.put_u32(0); // reserved
+  for (const std::int32_t c : p.detect_cycle) w.put_i32(c);
+  for (const std::uint8_t s : p.signature_detect) w.put_u8(s);
+  std::vector<std::uint8_t> bytes = std::move(w).seal();
+  // Simulated disk corruption: flip the last verdict byte. The
+  // coordinator's checksum validation must catch it and re-queue the
+  // slice — this is how the chaos harness proves corrupt results can
+  // never reach the merged verdicts.
+  if (common::failpoint_eval("corrupt-result"))
+    bytes[bytes.size() - 9] ^= 0x5A;
+  return common::atomic_write_file(path, bytes, "partial");
 }
 
 Expected<SlicePartial> load_partial(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Error{ErrorCode::Io, "cannot open: " + path};
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(chunk, 1, sizeof chunk, f);
-    buf.insert(buf.end(), chunk, chunk + n);
-    if (n < sizeof chunk) break;
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Error{ErrorCode::Io, "read failed: " + path};
-
-  if (buf.size() < kHeaderBytes + kChecksumBytes)
-    return corrupt("truncated (" + std::to_string(buf.size()) + " bytes)");
-  if (std::memcmp(buf.data(), kMagic, 4) != 0)
-    return corrupt("has bad magic");
-
-  std::size_t off = 4;
-  const auto version = take_bytes<std::uint32_t>(buf, off);
-  if (version != kPartialVersion)
-    return corrupt("has unsupported version " + std::to_string(version));
+  auto bytes = binfile::read_file(path);
+  if (!bytes) return bytes.error();
+  auto opened = binfile::open(*bytes, kMagic, kPartialVersion,
+                              ErrorCode::CorruptCheckpoint, "partial result");
+  if (!opened) return opened.error();
+  binfile::Reader& r = *opened;
 
   SlicePartial p;
-  p.fp.netlist = take_bytes<std::uint64_t>(buf, off);
-  p.fp.stimulus = take_bytes<std::uint64_t>(buf, off);
-  p.fp.faults = take_bytes<std::uint64_t>(buf, off);
-  p.total_faults = take_bytes<std::uint64_t>(buf, off);
-  p.vectors = take_bytes<std::uint64_t>(buf, off);
-  p.lo = take_bytes<std::uint64_t>(buf, off);
-  const auto count = take_bytes<std::uint64_t>(buf, off);
-  p.fp.family = take_bytes<std::uint32_t>(buf, off);
-  p.sig_width = take_bytes<std::uint32_t>(buf, off);
-  p.sig_taps = take_bytes<std::uint32_t>(buf, off);
-  (void)take_bytes<std::uint32_t>(buf, off); // reserved
+  p.fp.netlist = r.take_u64();
+  p.fp.stimulus = r.take_u64();
+  p.fp.faults = r.take_u64();
+  p.total_faults = r.take_u64();
+  p.vectors = r.take_u64();
+  p.lo = r.take_u64();
+  const std::uint64_t count = r.take_u64();
+  p.fp.family = r.take_u32();
+  p.sig_width = r.take_u32();
+  p.sig_taps = r.take_u32();
+  (void)r.take_u32(); // reserved
+  if (r.failed()) return corrupt("has a truncated header");
 
   if (p.lo > p.total_faults || count > p.total_faults - p.lo)
     return corrupt("window [" + std::to_string(p.lo) + ", +" +
                    std::to_string(count) + ") exceeds its own universe");
-  const std::size_t sig_bytes = p.sig_width == 0 ? 0 : std::size_t(count);
-  const std::size_t expected = kHeaderBytes +
-                               std::size_t(count) * sizeof(std::int32_t) +
-                               sig_bytes + kChecksumBytes;
-  if (buf.size() != expected)
-    return corrupt("is truncated or oversized (" +
-                   std::to_string(buf.size()) + " bytes, expected " +
-                   std::to_string(expected) + ")");
-
-  std::size_t checksum_off = buf.size() - kChecksumBytes;
-  const std::uint64_t stored = take_bytes<std::uint64_t>(buf, checksum_off);
-  if (fnv1a(kFnvSeed, buf.data(), buf.size() - kChecksumBytes) != stored)
-    return corrupt("failed its checksum");
-
+  const std::size_t bytes_per_fault = p.sig_width == 0 ? 4 : 5;
+  if (!r.fits(count, bytes_per_fault))
+    return corrupt("is truncated (" + std::to_string(r.remaining()) +
+                   " payload bytes for " + std::to_string(count) +
+                   " faults)");
   p.detect_cycle.resize(std::size_t(count));
-  std::memcpy(p.detect_cycle.data(), buf.data() + off,
-              p.detect_cycle.size() * sizeof(std::int32_t));
-  off += p.detect_cycle.size() * sizeof(std::int32_t);
-  if (sig_bytes != 0)
-    p.signature_detect.assign(buf.data() + off, buf.data() + off + sig_bytes);
+  for (std::int32_t& c : p.detect_cycle) c = r.take_i32();
+  if (p.sig_width != 0) {
+    p.signature_detect.resize(std::size_t(count));
+    for (std::uint8_t& s : p.signature_detect) s = r.take_u8();
+  }
+  if (r.remaining() != 0)
+    return corrupt("has " + std::to_string(r.remaining()) +
+                   " trailing bytes");
   return p;
 }
 
@@ -192,22 +162,6 @@ Expected<fault::FaultSimStats> compute_and_save_slice(
   p.signature_detect = std::move(r.signature_detect);
   if (auto saved = save_partial(partial_path(dir, slice), p); !saved)
     return saved.error();
-
-  // Simulated disk corruption: flip one payload byte of the *final*
-  // file. The coordinator's checksum validation must catch it and
-  // re-queue the slice — this is how the chaos harness proves corrupt
-  // results can never reach the merged verdicts.
-  if (common::failpoint_eval("corrupt-result")) {
-    std::FILE* f = std::fopen(partial_path(dir, slice).c_str(), "r+b");
-    if (f != nullptr) {
-      std::fseek(f, long(kHeaderBytes) + 1, SEEK_SET);
-      const int c = std::fgetc(f);
-      std::fseek(f, long(kHeaderBytes) + 1, SEEK_SET);
-      std::fputc((c == EOF ? 0 : c) ^ 0x5A, f);
-      std::fclose(f);
-    }
-  }
-
   return r.stats;
 }
 

@@ -13,17 +13,19 @@
 // restarted campaign resume: the files a killed run left behind are
 // adopted, and only the missing slices are computed.
 //
-// File layout, version 2 ("FDBP", native-endian, local artifact).
-// Version 2 adds the design family and signature-compaction
+// File layout, version 3 ("FDBP"; every integer little-endian, framed
+// and checksummed by common/binfile.hpp). Version 3 changed the byte
+// order from the host's to little-endian; the fields are version 2's.
+// Version 2 added the design family and signature-compaction
 // configuration to the header (family is also folded into the
-// fault-list fingerprint via UniverseFp) and appends per-fault
-// signature verdicts when compaction was on. Version-1 files are
-// refused — the coordinator treats them like any other unusable
-// partial: delete and recompute the slice.
+// fault-list fingerprint via UniverseFp) and appended per-fault
+// signature verdicts when compaction was on. Files of any other
+// version are refused — the coordinator treats them like any other
+// unusable partial: delete and recompute the slice.
 //
 //   offset size  field
 //   0      4     magic "FDBP"
-//   4      4     u32  format version (= 2)
+//   4      4     u32  format version (= 3)
 //   8      8     u64  netlist fingerprint    } over the FULL universe,
 //   16     8     u64  stimulus fingerprint   } not the slice — a partial
 //   24     8     u64  fault-list fingerprint } from a foreign campaign
@@ -59,7 +61,7 @@ class ScheduleCache; // fault/schedule_cache.hpp
 
 namespace fdbist::dist {
 
-inline constexpr std::uint32_t kPartialVersion = 2;
+inline constexpr std::uint32_t kPartialVersion = 3;
 
 /// Fingerprints of everything verdicts depend on, computed once per
 /// process over the FULL campaign universe. The design family is part
@@ -98,7 +100,10 @@ struct SlicePartial {
 std::string partial_path(const std::string& dir, std::size_t slice);
 
 /// Atomically persist / load one partial. Loads return Io for
-/// filesystem trouble and CorruptCheckpoint for malformed content.
+/// filesystem trouble and CorruptCheckpoint for malformed content. The
+/// "corrupt-result" failpoint (common/failpoint.hpp, `corrupt` action)
+/// flips a verdict byte of the saved file, which the load-side checksum
+/// must catch.
 Expected<void> save_partial(const std::string& path, const SlicePartial& p);
 Expected<SlicePartial> load_partial(const std::string& path);
 
@@ -132,9 +137,7 @@ struct SliceComputeOptions : fault::FaultSimOptions {
 /// slice's simulate_faults call, so an inline caller can account for
 /// the work. Returns Cancelled/DeadlineExceeded as errors — an
 /// unfinished slice writes no file and is recomputed from scratch
-/// later. The "corrupt-result" failpoint (common/failpoint.hpp,
-/// `corrupt` action) flips a payload byte in the saved file, which the
-/// load-side checksum must catch.
+/// later.
 Expected<fault::FaultSimStats> compute_and_save_slice(
     const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
     std::span<const fault::Fault> faults, const UniverseFp& fp,

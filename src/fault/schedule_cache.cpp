@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 
 #include "common/atomic_file.hpp"
+#include "common/binfile.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
@@ -26,25 +27,6 @@ std::uint64_t now_ns() {
 
 Error corrupt(const std::string& what) {
   return Error{ErrorCode::CorruptArtifact, what};
-}
-
-/// Whole-file read; Io on anything the filesystem refuses.
-Expected<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Error{ErrorCode::Io, "cannot open " + path + " for reading"};
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(chunk, 1, sizeof chunk, f);
-    bytes.insert(bytes.end(), chunk, chunk + n);
-    if (n < sizeof chunk) {
-      const bool bad = std::ferror(f) != 0;
-      std::fclose(f);
-      if (bad) return Error{ErrorCode::Io, "read error on " + path};
-      return bytes;
-    }
-  }
 }
 
 /// Same cap the simulator's Auto engine applies to the good trace: an
@@ -205,7 +187,7 @@ std::shared_ptr<const CompiledArtifact> build_artifact(
 std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art) {
   FDBIST_REQUIRE(art.schedule.has_value(),
                  "serializing an artifact without a schedule");
-  gate::ByteWriter w;
+  common::binfile::Writer w(gate::kArtifactMagic, gate::kArtifactVersion);
   gate::ArtifactHeader h;
   h.schedule_format = art.key.schedule_format;
   h.pass_config = art.key.pass_config;
@@ -230,15 +212,16 @@ std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art) {
 
   gate::write_schedule(w, *art.schedule);
   gate::write_trace(w, art.trace);
-  gate::write_artifact_checksum(w);
-  return w.take();
+  return std::move(w).seal();
 }
 
 Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
     std::span<const std::uint8_t> bytes, const ArtifactKey& expect) {
-  auto payload = gate::verify_artifact_checksum(bytes);
-  if (!payload) return payload.error();
-  gate::ByteReader r(*payload);
+  auto opened = common::binfile::open(bytes, gate::kArtifactMagic,
+                                      gate::kArtifactVersion,
+                                      ErrorCode::CorruptArtifact, "artifact");
+  if (!opened) return opened.error();
+  common::binfile::Reader& r = *opened;
 
   auto header = gate::read_artifact_header(r);
   if (!header) return header.error();
@@ -264,7 +247,7 @@ Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
   const std::size_t post_n = art->netlist.size();
 
   const std::uint64_t map_size = r.take_u64();
-  if (r.failed() || map_size > r.remaining() / 4)
+  if (r.failed() || !r.fits(map_size, 4))
     return corrupt("retarget map exceeds the file");
   art->net_map.resize(std::size_t(map_size));
   for (std::uint64_t i = 0; i < map_size; ++i) {
@@ -275,7 +258,7 @@ Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
   }
 
   const std::uint64_t fault_count = r.take_u64();
-  if (r.failed() || fault_count > r.remaining() / 6)
+  if (r.failed() || !r.fits(fault_count, 6))
     return corrupt("fault universe exceeds the file");
   if (fault_count != art->fault_count)
     return corrupt("fault section holds " + std::to_string(fault_count) +
@@ -318,7 +301,7 @@ Expected<void> save_artifact(const std::string& path,
 
 Expected<std::shared_ptr<const CompiledArtifact>> load_artifact(
     const std::string& path, const ArtifactKey& expect) {
-  auto bytes = read_file(path);
+  auto bytes = common::binfile::read_file(path);
   if (!bytes) return bytes.error();
   // Chaos seam: simulate a disk that returned garbage. The flipped byte
   // must be caught by the checksum like any real corruption.

@@ -1,23 +1,14 @@
 #include "gate/artifact.hpp"
 
-#include <cstring>
-
-#include "common/fingerprint.hpp"
-
 namespace fdbist::gate {
 
 namespace {
 
+using common::binfile::Reader;
+using common::binfile::Writer;
+
 Error corrupt(const std::string& what) {
   return Error{ErrorCode::CorruptArtifact, what};
-}
-
-/// Guard a deserialized element count against the bytes actually left
-/// in the stream, so a corrupt count fails cleanly instead of driving a
-/// multi-gigabyte allocation.
-bool count_fits(const ByteReader& r, std::uint64_t count,
-                std::size_t bytes_per_element) {
-  return bytes_per_element == 0 || count <= r.remaining() / bytes_per_element;
 }
 
 bool needs_operand_a(GateOp op) {
@@ -30,10 +21,9 @@ bool needs_operand_b(GateOp op) {
 }
 
 /// Read one i32 net-id group, validating every id against `nets`.
-bool read_net_group(ByteReader& r, std::size_t nets,
-                    std::vector<NetId>& out) {
+bool read_net_group(Reader& r, std::size_t nets, std::vector<NetId>& out) {
   const std::uint64_t count = r.take_u64();
-  if (!count_fits(r, count, 4)) return false;
+  if (!r.fits(count, 4)) return false;
   out.clear();
   out.reserve(std::size_t(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -46,9 +36,7 @@ bool read_net_group(ByteReader& r, std::size_t nets,
 
 } // namespace
 
-void write_artifact_header(ByteWriter& w, const ArtifactHeader& h) {
-  for (const char c : kArtifactMagic) w.put_u8(std::uint8_t(c));
-  w.put_u32(kArtifactVersion);
+void write_artifact_header(Writer& w, const ArtifactHeader& h) {
   w.put_u32(h.schedule_format);
   w.put_u32(h.pass_config);
   w.put_u64(h.netlist_fp);
@@ -59,15 +47,7 @@ void write_artifact_header(ByteWriter& w, const ArtifactHeader& h) {
   w.put_u64(0); // reserved
 }
 
-Expected<ArtifactHeader> read_artifact_header(ByteReader& r) {
-  char magic[4];
-  for (char& c : magic) c = char(r.take_u8());
-  if (r.failed() || std::memcmp(magic, kArtifactMagic, 4) != 0)
-    return corrupt("bad magic (not an FDBA artifact)");
-  const std::uint32_t version = r.take_u32();
-  if (version != kArtifactVersion)
-    return corrupt("unsupported artifact version " + std::to_string(version) +
-                   " (expected " + std::to_string(kArtifactVersion) + ")");
+Expected<ArtifactHeader> read_artifact_header(Reader& r) {
   ArtifactHeader h;
   h.schedule_format = r.take_u32();
   h.pass_config = r.take_u32();
@@ -82,7 +62,7 @@ Expected<ArtifactHeader> read_artifact_header(ByteReader& r) {
   return h;
 }
 
-void write_netlist(ByteWriter& w, const Netlist& nl) {
+void write_netlist(Writer& w, const Netlist& nl) {
   w.put_u64(nl.size());
   for (const Gate& g : nl.gates()) {
     w.put_u8(std::uint8_t(g.op));
@@ -106,9 +86,9 @@ void write_netlist(ByteWriter& w, const Netlist& nl) {
   }
 }
 
-Expected<Netlist> read_netlist(ByteReader& r) {
+Expected<Netlist> read_netlist(Reader& r) {
   const std::uint64_t gate_count = r.take_u64();
-  if (r.failed() || !count_fits(r, gate_count, 9))
+  if (r.failed() || !r.fits(gate_count, 9))
     return corrupt("netlist gate count exceeds the file");
   Netlist nl;
   for (std::uint64_t i = 0; i < gate_count; ++i) {
@@ -130,7 +110,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t reg_count = r.take_u64();
-  if (r.failed() || !count_fits(r, reg_count, 8))
+  if (r.failed() || !r.fits(reg_count, 8))
     return corrupt("register count exceeds the file");
   for (std::uint64_t i = 0; i < reg_count; ++i) {
     const NetId d = r.take_i32();
@@ -144,7 +124,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t input_groups = r.take_u64();
-  if (r.failed() || !count_fits(r, input_groups, 8))
+  if (r.failed() || !r.fits(input_groups, 8))
     return corrupt("input group count exceeds the file");
   for (std::uint64_t g = 0; g < input_groups; ++g) {
     std::vector<NetId> group;
@@ -154,7 +134,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t output_groups = r.take_u64();
-  if (r.failed() || !count_fits(r, output_groups, 8))
+  if (r.failed() || !r.fits(output_groups, 8))
     return corrupt("output group count exceeds the file");
   for (std::uint64_t g = 0; g < output_groups; ++g) {
     std::vector<NetId> group;
@@ -165,7 +145,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   return nl;
 }
 
-void write_schedule(ByteWriter& w, const CompiledSchedule& s) {
+void write_schedule(Writer& w, const CompiledSchedule& s) {
   const std::size_t n = s.size();
   w.put_u64(n);
   w.put_u64(s.logic_gates());
@@ -188,7 +168,7 @@ void write_schedule(ByteWriter& w, const CompiledSchedule& s) {
     w.put_u8(s.is_observed_output(NetId(i)) ? 1 : 0);
 }
 
-Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
+Expected<CompiledSchedule::RestoreParts> read_schedule(Reader& r,
                                                        const Netlist& nl) {
   const std::size_t n = nl.size();
   const std::uint64_t stored_n = r.take_u64();
@@ -253,7 +233,7 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
       return corrupt("fan-out degree disagrees with the netlist at net " +
                      std::to_string(i));
 
-  if (!count_fits(r, edges, 4)) return corrupt("fan-out adjacency truncated");
+  if (!r.fits(edges, 4)) return corrupt("fan-out adjacency truncated");
   parts.fan.resize(edges);
   for (std::size_t e = 0; e < edges; ++e) parts.fan[e] = r.take_i32();
   if (r.failed()) return corrupt("truncated fan-out adjacency");
@@ -294,13 +274,13 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
   return parts;
 }
 
-void write_trace(ByteWriter& w, const GoodTrace& t) {
+void write_trace(Writer& w, const GoodTrace& t) {
   w.put_u64(t.words_per_cycle);
   w.put_u64(t.cycles);
   for (const std::uint64_t word : t.bits) w.put_u64(word);
 }
 
-Expected<GoodTrace> read_trace(ByteReader& r, std::size_t nets,
+Expected<GoodTrace> read_trace(Reader& r, std::size_t nets,
                                std::size_t cycles) {
   GoodTrace t;
   t.words_per_cycle = std::size_t(r.take_u64());
@@ -313,35 +293,12 @@ Expected<GoodTrace> read_trace(ByteReader& r, std::size_t nets,
                    " cycles, expected " + std::to_string(cycles));
   const std::uint64_t words =
       std::uint64_t(t.words_per_cycle) * std::uint64_t(t.cycles);
-  if (!count_fits(r, words, 8)) return corrupt("trace bits exceed the file");
+  if (!r.fits(words, 8)) return corrupt("trace bits exceed the file");
   t.bits.resize(std::size_t(words));
   for (std::uint64_t i = 0; i < words; ++i) t.bits[std::size_t(i)] =
       r.take_u64();
   if (r.failed()) return corrupt("truncated trace bits");
   return t;
-}
-
-void write_artifact_checksum(ByteWriter& w) {
-  const std::uint64_t sum =
-      common::fnv1a(common::kFnvSeed, w.bytes().data(), w.bytes().size());
-  w.put_u64(sum);
-}
-
-Expected<std::span<const std::uint8_t>> verify_artifact_checksum(
-    std::span<const std::uint8_t> bytes) {
-  // Header (64) plus the checksum itself is the smallest well-formed
-  // artifact; anything shorter is a torn write.
-  if (bytes.size() < 72)
-    return corrupt("file too small (" + std::to_string(bytes.size()) +
-                   " bytes)");
-  const std::size_t payload = bytes.size() - 8;
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i)
-    stored |= std::uint64_t(bytes[payload + std::size_t(i)]) << (8 * i);
-  const std::uint64_t sum =
-      common::fnv1a(common::kFnvSeed, bytes.data(), payload);
-  if (sum != stored) return corrupt("checksum mismatch");
-  return bytes.subspan(0, payload);
 }
 
 } // namespace fdbist::gate

@@ -9,15 +9,8 @@
 // The fault layer (fault/schedule_cache.hpp) wraps these sections with
 // its own fault-universe sections and the cache itself; this header
 // owns only the gate-level container primitives, so the gate module
-// never depends on fault types.
-//
-// Unlike the slice partial-result ("FDBP") files, which are
-// native-endian local resume artifacts, an FDBA file is an
-// *interchange* format: a schedule compiled on one host feeds workers
-// on another (ROADMAP item 4), so every integer is serialized
-// little-endian explicitly and the layout is identical on every
-// platform. The trailing checksum is FNV-1a over every preceding byte
-// of the serialized stream — stable because the stream itself is.
+// never depends on fault types. The frame (magic, version, trailing
+// checksum) and the little-endian field codec are common/binfile.hpp's.
 //
 // Layout, version 1 (all integers little-endian):
 //
@@ -46,10 +39,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
 
+#include "common/binfile.hpp"
 #include "common/error.hpp"
 #include "gate/netlist.hpp"
 #include "gate/schedule.hpp"
@@ -81,69 +72,13 @@ struct ArtifactHeader {
   bool operator==(const ArtifactHeader&) const = default;
 };
 
-/// Append-only little-endian serializer. Fixed-width puts only — the
-/// format has no varints, so reader offsets are position-independent
-/// of the values.
-class ByteWriter {
-public:
-  void put_u8(std::uint8_t v) { bytes_.push_back(v); }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void put_i32(std::int32_t v) { put_u32(std::uint32_t(v)); }
-
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  std::size_t size() const { return bytes_.size(); }
-
-private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked little-endian cursor. A read past the end sets the
-/// sticky fail flag and returns zero; callers check failed() once per
-/// section instead of wrapping every take in an Expected.
-class ByteReader {
-public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t take_u8() { return take<1>(); }
-  std::uint32_t take_u32() { return std::uint32_t(take<4>()); }
-  std::uint64_t take_u64() { return take<8>(); }
-  std::int32_t take_i32() { return std::int32_t(take_u32()); }
-
-  bool failed() const { return failed_; }
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
-private:
-  template <int N>
-  std::uint64_t take() {
-    if (bytes_.size() - pos_ < N) {
-      failed_ = true;
-      pos_ = bytes_.size();
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < N; ++i)
-      v |= std::uint64_t(bytes_[pos_ + std::size_t(i)]) << (8 * i);
-    pos_ += N;
-    return v;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-/// Header codec. read_artifact_header validates magic and container
-/// version (CorruptArtifact on either); the identity fields are
-/// returned as-is for the caller to match against its own key.
-void write_artifact_header(ByteWriter& w, const ArtifactHeader& h);
-Expected<ArtifactHeader> read_artifact_header(ByteReader& r);
+/// Header codec: the fields after the frame's magic and container
+/// version (common::binfile::Writer writes those, binfile::open checks
+/// them). The identity fields are returned as-is for the caller to
+/// match against its own key.
+void write_artifact_header(common::binfile::Writer& w,
+                           const ArtifactHeader& h);
+Expected<ArtifactHeader> read_artifact_header(common::binfile::Reader& r);
 
 /// Netlist codec: gates (op, a, b), registers (d, q), input and output
 /// bit groups. Gate origins are deliberately dropped — the simulation
@@ -153,8 +88,8 @@ Expected<ArtifactHeader> read_artifact_header(ByteReader& r);
 /// operand/topology structure via Netlist rules re-checked here
 /// non-throwing (ids in range, counts sane) and returns CorruptArtifact
 /// on any violation.
-void write_netlist(ByteWriter& w, const Netlist& nl);
-Expected<Netlist> read_netlist(ByteReader& r);
+void write_netlist(common::binfile::Writer& w, const Netlist& nl);
+Expected<Netlist> read_netlist(common::binfile::Reader& r);
 
 /// CompiledSchedule codec: the SoA op/a/b arrays, the fan-out CSR, the
 /// register-of map and the output marks — lane-width-independent, so
@@ -163,25 +98,15 @@ Expected<Netlist> read_netlist(ByteReader& r);
 /// operands must equal the netlist's, CSR offsets must be monotone and
 /// in range, register indices must exist) before returning parts fit
 /// for CompiledSchedule's restore constructor.
-void write_schedule(ByteWriter& w, const CompiledSchedule& s);
-Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
-                                                       const Netlist& nl);
+void write_schedule(common::binfile::Writer& w, const CompiledSchedule& s);
+Expected<CompiledSchedule::RestoreParts> read_schedule(
+    common::binfile::Reader& r, const Netlist& nl);
 
 /// Good-trace codec: bit-packed rows, one bit per net per cycle.
 /// read_trace validates the geometry against `nets` and the expected
 /// cycle count.
-void write_trace(ByteWriter& w, const GoodTrace& t);
-Expected<GoodTrace> read_trace(ByteReader& r, std::size_t nets,
+void write_trace(common::binfile::Writer& w, const GoodTrace& t);
+Expected<GoodTrace> read_trace(common::binfile::Reader& r, std::size_t nets,
                                std::size_t cycles);
-
-/// Seal a serialized artifact: append the little-endian FNV-1a of every
-/// byte written so far.
-void write_artifact_checksum(ByteWriter& w);
-
-/// Whole-file integrity check (size floor + trailing checksum); run
-/// before any section parsing so a torn tail is caught up front.
-/// Returns the payload span (checksum stripped) on success.
-Expected<std::span<const std::uint8_t>> verify_artifact_checksum(
-    std::span<const std::uint8_t> bytes);
 
 } // namespace fdbist::gate

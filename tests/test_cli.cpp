@@ -111,6 +111,34 @@ TEST_F(CliTest, FaultsimCampaignAndCoordinatePrintTheGoldenLines) {
   }
 }
 
+TEST_F(CliTest, CoordinatorCacheLinesNameTheirScope) {
+  // With workers, the coordinator's [cache]/[prep] counters cover only
+  // the slices it ran inline: the lines must say so instead of reading
+  // like a run that loaded and compiled nothing.
+  const Outcome co = run_cli("coordinate LP lfsrd 512 --workers 2 --dir " +
+                                 dir("coord") + " --schedule-cache " +
+                                 dir("cache"),
+                             true);
+  EXPECT_EQ(co.status, 0);
+  for (const char* tag : {"\n[cache] ", "\n[prep] "}) {
+    SCOPED_TRACE(tag);
+    const std::size_t at = ("\n" + co.out).find(tag);
+    ASSERT_NE(at, std::string::npos) << co.out;
+    const std::string line = co.out.substr(at, co.out.find('\n', at) - at);
+    EXPECT_NE(line.find(" (coordinator's inline slices: "), std::string::npos)
+        << line;
+    EXPECT_NE(line.find(" of 7; workers log their own)"), std::string::npos)
+        << line;
+  }
+  // A run without workers is all inline: no scope.
+  const Outcome cp = run_cli("campaign LP lfsrd 512 --schedule-cache " +
+                                 dir("cache"),
+                             true);
+  EXPECT_EQ(cp.status, 0);
+  EXPECT_NE(cp.out.find("[cache] "), std::string::npos) << cp.out;
+  EXPECT_EQ(cp.out.find("inline slices"), std::string::npos) << cp.out;
+}
+
 TEST_F(CliTest, UsageErrorsExitTwoAndPrintNothing) {
   const std::string bad[] = {
       "faultsim LP lfsrd 0",

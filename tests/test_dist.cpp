@@ -481,22 +481,26 @@ TEST_F(DistTest, SignaturePartialRoundTripsWithFamilyTag) {
 }
 
 TEST_F(DistTest, VersionOnePartialIsRefused) {
-  // v1 files predate the family tag; unlike v1 corpus cases there is no
-  // safe default here — the coordinator deletes and recomputes.
-  const std::string path = partial_path(dir(), 0);
-  ASSERT_TRUE(save_partial(path, sample_partial()));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-    const std::uint32_t v1 = 1;
-    ASSERT_EQ(std::fwrite(&v1, sizeof v1, 1, f), 1u);
-    std::fclose(f);
+  // v1 files predate the family tag and v2 files are host-endian;
+  // neither has a safe reading here — the coordinator deletes and
+  // recomputes. The version is named before the checksum is checked.
+  for (const std::uint8_t version : {1, 2}) {
+    SCOPED_TRACE(int(version));
+    const std::string path = partial_path(dir(), 0);
+    ASSERT_TRUE(save_partial(path, sample_partial()));
+    {
+      std::FILE* f = std::fopen(path.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+      const std::uint8_t le[4] = {version, 0, 0, 0};
+      ASSERT_EQ(std::fwrite(le, 1, sizeof le, f), sizeof le);
+      std::fclose(f);
+    }
+    auto r = load_partial(path);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint);
+    EXPECT_NE(r.error().message.find("version"), std::string::npos);
   }
-  auto r = load_partial(path);
-  ASSERT_FALSE(r);
-  EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint);
-  EXPECT_NE(r.error().message.find("version"), std::string::npos);
 }
 
 TEST_F(DistTest, ValidateRefusesForeignFamilyAndSignatureConfig) {
