@@ -64,8 +64,10 @@ Expected<void> atomic_write_file(const std::string& path,
     ::kill(::getpid(), SIGKILL);
   }
 
+  // An empty span may carry a null pointer, which fwrite must not see.
   const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+      (bytes.empty() ||
+       std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size()) &&
       std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   if (std::fclose(f) != 0 || !wrote) {
     std::remove(tmp.c_str());

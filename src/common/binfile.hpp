@@ -14,9 +14,12 @@
 // before anything is allocated for it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,6 +36,22 @@ public:
   void put_u32(std::uint32_t v) { put_le<4>(v); }
   void put_u64(std::uint64_t v) { put_le<8>(v); }
   void put_i32(std::int32_t v) { put_u32(std::uint32_t(v)); }
+
+  /// Append every element of `v` as a little-endian integer of
+  /// sizeof(T) bytes: the same bytes as one put per element, in one
+  /// memcpy on a little-endian host.
+  template <class T>
+  void put_array(std::span<const T> v) {
+    static_assert(std::is_integral_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t at = bytes_.size();
+      bytes_.resize(at + v.size_bytes());
+      if (!v.empty())
+        std::memcpy(bytes_.data() + at, v.data(), v.size_bytes());
+    } else {
+      for (const T x : v) put_le<sizeof(T)>(std::make_unsigned_t<T>(x));
+    }
+  }
 
   /// Append the FNV-1a of every byte written so far and hand over the
   /// finished file.
@@ -61,6 +80,27 @@ public:
   std::uint32_t take_u32() { return std::uint32_t(take<4>()); }
   std::uint64_t take_u64() { return take<8>(); }
   std::int32_t take_i32() { return std::int32_t(take_u32()); }
+
+  /// Fill `out` with little-endian integers of sizeof(T) bytes each: one
+  /// bounds check, then one memcpy on a little-endian host and a
+  /// byte-order loop elsewhere. If the stream holds fewer, sets the
+  /// fail flag and leaves `out` untouched.
+  template <class T>
+  void take_array(std::span<T> out) {
+    static_assert(std::is_integral_v<T>);
+    if (!fits(out.size(), sizeof(T))) {
+      failed_ = true;
+      pos_ = bytes_.size();
+      return;
+    }
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty())
+        std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+      pos_ += out.size_bytes();
+    } else {
+      for (T& x : out) x = T(take<sizeof(T)>());
+    }
+  }
 
   /// True when `count` elements of `bytes_per_element` bytes each can
   /// still be in the stream. Check it before sizing anything by a count

@@ -48,8 +48,8 @@ Expected<void> save_partial(const std::string& path, const SlicePartial& p) {
   w.put_u32(p.sig_width);
   w.put_u32(p.sig_taps);
   w.put_u32(0); // reserved
-  for (const std::int32_t c : p.detect_cycle) w.put_i32(c);
-  for (const std::uint8_t s : p.signature_detect) w.put_u8(s);
+  w.put_array<std::int32_t>(p.detect_cycle);
+  w.put_array<std::uint8_t>(p.signature_detect);
   std::vector<std::uint8_t> bytes = std::move(w).seal();
   // Simulated disk corruption: flip the last verdict byte. The
   // coordinator's checksum validation must catch it and re-queue the
@@ -91,10 +91,10 @@ Expected<SlicePartial> load_partial(const std::string& path) {
                    " payload bytes for " + std::to_string(count) +
                    " faults)");
   p.detect_cycle.resize(std::size_t(count));
-  for (std::int32_t& c : p.detect_cycle) c = r.take_i32();
+  r.take_array(std::span(p.detect_cycle));
   if (p.sig_width != 0) {
     p.signature_detect.resize(std::size_t(count));
-    for (std::uint8_t& s : p.signature_detect) s = r.take_u8();
+    r.take_array(std::span(p.signature_detect));
   }
   if (r.remaining() != 0)
     return corrupt("has " + std::to_string(r.remaining()) +

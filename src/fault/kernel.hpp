@@ -38,14 +38,14 @@
 namespace fdbist::fault::detail {
 
 /// The cycles one kernel run covers: it steps cycles [start, end) and
-/// records detections only in [record, end). A whole batch is
-/// {0, 0, budget}: from reset, every cycle recorded. A time segment of a
-/// batch starts past reset — its in-cone registers load the good
-/// machine's state from GoodTrace row `start`, broadcast to every lane —
-/// and warms up for record - start cycles. Its detections are exact
-/// once that warm-up reaches the netlist's register depth
-/// (gate::CompiledSchedule::register_depth); a shorter one may miss or
-/// delay a detection.
+/// records detections only in [record, end). A run from reset is
+/// {0, 0, end}: every cycle recorded. A run past reset — a later window
+/// of repacked survivors, or a time segment of one — loads its in-cone
+/// registers with the good machine's state from GoodTrace row `start`,
+/// broadcast to every lane, and warms up for record - start cycles. Its
+/// detections are exact once that warm-up reaches the netlist's register
+/// depth (gate::CompiledSchedule::register_depth); a shorter one may
+/// miss or delay a detection.
 struct Window {
   std::size_t start = 0;
   std::size_t record = 0;
@@ -109,18 +109,31 @@ common::SimdBackend resolve_simd_backend(common::SimdBackend requested);
 /// if the request cannot run here).
 const BatchKernel& batch_kernel(common::SimdBackend resolved);
 
-/// simulate_faults with each batch of a segmentable final pass split
-/// into `segments` time segments (at most one per budget cycle) instead
-/// of the planner's count; 0 keeps the planner. Passes the planner
-/// never segments — non-final, signature, FullSweep, or a cyclic
-/// netlist — stay whole at any value. Verdicts are bit-identical for
-/// every value; tests and the differential oracle use this to pin
-/// segment counts the planner would not choose.
-FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
-                                         std::span<const std::int64_t> stimulus,
-                                         std::span<const Fault> faults,
-                                         const FaultSimOptions& opt,
-                                         std::size_t segments);
+/// Overrides of the window schedule's constants (simulate_faults); 0
+/// keeps the default. Verdicts are bit-identical for every value — a
+/// fault's detect cycle never depends on how faults are staged into
+/// windows, batches or segments — so tests and the differential oracle
+/// use these to pin plans the defaults would not choose on their
+/// inputs.
+struct PlanOverride {
+  /// Time segments per batch of a segmentable final window (at most one
+  /// per cycle of the window) instead of the planner's count. Windows
+  /// the planner never segments — non-final, signature, FullSweep, or a
+  /// cyclic netlist — stay whole at any value.
+  std::size_t segments = 0;
+  /// Length of window 0 instead of 128 cycles.
+  std::size_t first_window = 0;
+  /// Faults per batch, capped at the backend's lanes - 1: small batches
+  /// let a few dozen faults span the several batches repacking needs.
+  std::size_t batch_faults = 0;
+};
+
+/// simulate_faults under a PlanOverride.
+FaultSimResult simulate_faults_planned(const gate::Netlist& nl,
+                                       std::span<const std::int64_t> stimulus,
+                                       std::span<const Fault> faults,
+                                       const FaultSimOptions& opt,
+                                       const PlanOverride& plan);
 
 // --- helpers compiled with baseline flags (kernel.cpp), so the ISA TUs
 // --- never instantiate shared std::vector machinery themselves.

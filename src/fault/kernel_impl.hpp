@@ -119,16 +119,10 @@ public:
       mark_signature_detects(batch, nonzero.w, signature_detect);
     }
 
-    // A batch counts once, at its first segment (the one recording from
-    // cycle 0); every segment is a kernel run.
+    // The caller counts batches; every call is one kernel run.
     stats.segments += 1;
-    if (window.record == 0) {
-      stats.batches += 1;
-      stats.cone_fraction_sum += full_sweep_gates == 0
-                                     ? 1.0
-                                     : double(cone_gates) /
-                                           double(full_sweep_gates);
-    }
+    stats.cone_gates_sum += cone_gates;
+    stats.netlist_gates_sum += full_sweep_gates;
     stats.cycles_simulated += cycles;
     stats.cycles_budgeted += window.end - window.start;
     stats.gates_evaluated += std::uint64_t(cone_gates) * cycles;

@@ -138,20 +138,25 @@ std::size_t compiled_mem_estimate(std::size_t nets, std::size_t cycles,
          workers * nets * (lane_width / 8);
 }
 
-/// Time segments per batch of a final word-compare pass over a
+/// Length of the first window, which every fault runs from reset: a
+/// short prefix weeds out the easily detected majority so only hard
+/// faults reach the longer windows.
+constexpr std::size_t kFirstWindow = 128;
+
+/// Time segments per batch of a final word-compare window over a
 /// feed-forward netlist of register depth `depth`. Enough segments to
-/// give a pass of `batches` batches about kSegmentTarget kernel runs —
-/// work for idle workers when a pass is a few long batches — but never
+/// give a window of `batches` batches about kSegmentTarget kernel runs —
+/// work for idle workers when a window is a few long batches — but never
 /// so many that a segment is shorter than 32 warm-ups, so the warm-up
-/// cycles stay under ~3% of the pass. A pure function of the pass:
+/// cycles stay under ~3% of the window. A pure function of the window:
 /// never of the thread count, so counters and verdicts are identical at
 /// any num_threads.
 constexpr std::size_t kSegmentTarget = 8;
 
-std::size_t plan_segments(std::size_t batches, std::size_t budget,
+std::size_t plan_segments(std::size_t batches, std::size_t span,
                           std::size_t depth) {
   const std::size_t fill = (kSegmentTarget + batches - 1) / batches;
-  const std::size_t cheap = budget / (32 * std::max<std::size_t>(depth, 1));
+  const std::size_t cheap = span / (32 * std::max<std::size_t>(depth, 1));
   return std::max<std::size_t>(1, std::min(fill, cheap));
 }
 
@@ -165,11 +170,11 @@ std::uint64_t now_ns() {
 
 namespace detail {
 
-FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
-                                         std::span<const std::int64_t> stimulus,
-                                         std::span<const Fault> faults,
-                                         const FaultSimOptions& opt,
-                                         std::size_t forced_segments) {
+FaultSimResult simulate_faults_planned(const gate::Netlist& nl,
+                                       std::span<const std::int64_t> stimulus,
+                                       std::span<const Fault> faults,
+                                       const FaultSimOptions& opt,
+                                       const PlanOverride& plan) {
   FDBIST_REQUIRE(nl.inputs().size() == 1,
                  "fault simulation drives a single primary input");
   FDBIST_REQUIRE(!nl.outputs().empty(), "netlist has no observed outputs");
@@ -199,7 +204,10 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
 
   const common::SimdBackend simd = detail::resolve_simd_backend(opt.simd);
   const detail::BatchKernel& kernel = detail::batch_kernel(simd);
-  const std::size_t fpb = kernel.faults_per_batch();
+  const std::size_t fpb =
+      plan.batch_faults != 0
+          ? std::min(plan.batch_faults, kernel.faults_per_batch())
+          : kernel.faults_per_batch();
   const std::size_t threads = common::resolve_threads(opt.num_threads);
 
   FaultSimEngine engine = opt.engine;
@@ -301,7 +309,7 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
 
   // Progress counts *finalized* faults — detected, or survived the full
   // stimulus — so the reported sequence climbs monotonically to the
-  // total exactly once even though the engine takes two passes. The
+  // total exactly once even though the engine runs several windows. The
   // mutex both serializes the user callback and orders the cumulative
   // counter, so workers finishing batches out of order still deliver a
   // strictly increasing sequence.
@@ -315,10 +323,10 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
   };
 
   // The compiled engine's good trace covers the full stimulus and is
-  // recorded once per call, before stage 1: batch kernels only read row
-  // prefixes, so one trace serves every budget. The artifact path
-  // carries it prebuilt and records nothing, which is exactly the time
-  // that path saves.
+  // recorded once per call, before the first window: kernel runs only
+  // read the rows of their own windows, so one trace serves them all.
+  // The artifact path carries it prebuilt and records nothing, which is
+  // exactly the time that path saves.
   std::optional<gate::GoodTrace> trace;
   const gate::GoodTrace* trace_ptr = nullptr;
   if (engine == FaultSimEngine::Compiled && !faults.empty()) {
@@ -333,41 +341,48 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
     }
   }
 
-  // Time segmentation (gate::CompiledSchedule::register_depth): on a
-  // feed-forward netlist, a segment [t0, t1) of a final pass may start
-  // at t0 - D from the good state and warm up for D cycles; a fault's
-  // detect cycle is then its earliest detection over the segments.
-  // Only final word-compare passes of the compiled engine qualify: a
+  // Resuming past reset (gate::CompiledSchedule::register_depth): on a
+  // feed-forward netlist of register depth D, a kernel run that records
+  // from cycle t may start at t - D from the good state and warm up for
+  // D cycles; every register then holds exactly the faulty machine's
+  // state at t. Only word-compare runs of the compiled engine qualify: a
   // signature must absorb every cycle from reset, FullSweep stays the
-  // whole-batch reference, and a cyclic netlist never forgets its
-  // start state.
+  // from-reset reference, and a cyclic netlist never forgets its start
+  // state.
   const std::optional<std::size_t> depth = sched.register_depth();
-  const bool segmentable = trace_ptr != nullptr && !sig_on && depth;
+  const bool resumable = trace_ptr != nullptr && !sig_on && depth;
+  const std::size_t vectors = stimulus.size();
 
-  // One pass over `indices` with the first `budget` vectors. Its
-  // batches — or, time-segmented, each batch's segments — are sharded
-  // dynamically across workers, each owning a private executor (a
-  // width-dispatched BatchWorker over the shared schedule). A kernel
-  // run writes its own slice of `detect`; the slices merge after the
-  // join, and survivors are collected in batch order, which makes the
-  // returned order — and therefore the batch composition of the next
-  // pass — identical to the sequential engine's for any thread count.
+  // One window over `indices`: kernel runs record cycles [from, to). The
+  // faults are packed in order into batches of fpb. A final window
+  // (to == vectors) of a resumable run splits each batch into time
+  // segments, each resuming D cycles before its first recorded cycle; a
+  // fault's detect cycle is then its earliest detection over the
+  // segments. Kernel runs are sharded dynamically across workers, each
+  // owning a private executor (a width-dispatched BatchWorker over the
+  // shared schedule). A run writes its own slice of `detect`; the slices
+  // merge after the join, and survivors are collected in batch order,
+  // which makes the returned order — and therefore the batches of the
+  // next window — identical to the sequential engine's for any thread
+  // count.
   //
   // Cancellation stops workers at kernel-run boundaries: a batch whose
   // runs did not all finish leaves its faults unfinalized (and out of
-  // the survivor list, so a later pass never touches them either) — a
+  // the survivor list, so a later window never touches them either) — a
   // later segment's detection is never reported without the earlier
   // segments' verdicts. Batches that did finish keep their verdicts:
   // the partial result is valid, just incomplete.
-  auto run_pass = [&](const std::vector<std::size_t>& indices,
-                      std::size_t budget, bool final_pass) {
+  auto run_window = [&](const std::vector<std::size_t>& indices,
+                        std::size_t from, std::size_t to) {
+    const bool final_window = to == vectors;
     const std::size_t n = indices.size();
     const std::size_t num_batches = (n + fpb - 1) / fpb;
+    const std::size_t span = to - from;
     std::size_t segs = 1;
-    if (final_pass && segmentable)
-      segs = std::min(budget, forced_segments != 0
-                                  ? forced_segments
-                                  : plan_segments(num_batches, budget, *depth));
+    if (final_window && resumable)
+      segs = std::min(span, plan.segments != 0
+                                ? plan.segments
+                                : plan_segments(num_batches, span, *depth));
     const std::size_t runs = num_batches * segs;
     const std::size_t workers =
         std::max<std::size_t>(1, std::min(threads, runs));
@@ -376,7 +391,7 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
     for (std::size_t w = 0; w < workers; ++w)
       pool.push_back(kernel.make_worker(sched));
 
-    // detect[k * n + p]: segment k's detection of the fault at pass
+    // detect[k * n + p]: segment k's detection of the fault at window
     // position p, -1 if none in that segment.
     std::vector<std::int32_t> detect(segs * n, -1);
     std::vector<std::atomic<std::size_t>> segs_done(num_batches);
@@ -386,26 +401,28 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
           const std::size_t k = run % segs;
           const std::size_t base = b * fpb;
           const std::size_t count = std::min(fpb, n - base);
-          const std::size_t t0 = k * budget / segs;
+          const std::size_t t0 = from + k * span / segs;
           const detail::Window window{t0 - std::min(t0, depth.value_or(0)),
-                                      t0, (k + 1) * budget / segs};
+                                      t0, from + (k + 1) * span / segs};
           const std::size_t found = pool[worker]->run_batch(
               sim_faults, stimulus, {indices.data() + base, count}, window,
               trace_ptr, full_sweep_gates, detect.data() + k * n + base,
               opt.signature,
               sig_on ? result.signature_detect.data() : nullptr);
           if (segs_done[b].fetch_add(1) + 1 == segs)
-            report_finalized(final_pass ? count : found);
+            report_finalized(final_window ? count : found);
         });
 
     // Worker-local stats merge after the join; the sums are over the
     // set of kernel runs that finished, so they are order- and
-    // thread-count-independent on complete runs.
+    // thread-count-independent on complete runs. A batch counts once
+    // all its runs finished.
     for (const auto& w : pool) result.stats.merge(w->stats);
 
     std::vector<std::size_t> survivors;
     for (std::size_t b = 0; b < num_batches; ++b) {
       if (segs_done[b] != segs) continue;
+      ++result.stats.batches;
       const std::size_t base = b * fpb;
       const std::size_t count = std::min(fpb, n - base);
       for (std::size_t p = base; p < base + count; ++p) {
@@ -416,7 +433,7 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
           cycle = detect[k * n + p];
         const std::size_t idx = indices[p];
         result.detect_cycle[idx] = cycle;
-        if (final_pass || cycle >= 0) result.finalized[idx] = 1;
+        if (final_window || cycle >= 0) result.finalized[idx] = 1;
         if (cycle < 0) survivors.push_back(idx);
       }
     }
@@ -427,22 +444,37 @@ FaultSimResult simulate_faults_segmented(const gate::Netlist& nl,
     return opt.cancel != nullptr && opt.cancel->cancelled();
   };
 
-  // Stage 1: a short budget weeds out the easily detected majority so
-  // only genuinely hard faults pay for long batches. Stage 2 finishes
-  // the survivors on the full stimulus. Signature mode takes one
-  // full-budget pass instead: the signature is defined over the whole
-  // stimulus, so every batch must absorb every vector.
-  std::vector<std::size_t> all(faults.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const std::size_t stage1 =
-      sig_on ? stimulus.size() : std::min<std::size_t>(128, stimulus.size());
-  const bool stage1_is_final = stage1 == stimulus.size();
-  auto survivors = run_pass(all, stage1, stage1_is_final);
-  if (!stage1_is_final && !survivors.empty() && !cancelled())
-    run_pass(survivors, stimulus.size(), /*final_pass=*/true);
+  // The window schedule. Window 0 runs every fault from reset over
+  // [0, kFirstWindow) — over the whole stimulus in signature mode, where
+  // every batch must absorb every vector. Each later window [c, next)
+  // repacks the survivors, which were undetected before c, into full
+  // batches, so its first recorded detection is the fault's detect
+  // cycle. A resumable run resumes each window at c - min(c, D) and
+  // doubles it (next = min(vectors, 2c)) while the survivors span two
+  // batches or more: every doubling drops the detected faults and
+  // regroups the rest into fewer batches, at a cost of D warm-up cycles
+  // per batch instead of a replayed prefix. Otherwise the next window is
+  // the final one; a run that cannot resume replays it from reset. The
+  // plan reads only the survivor count, fpb, c, the stimulus length and
+  // D — never the thread count.
+  std::vector<std::size_t> survivors(faults.size());
+  for (std::size_t i = 0; i < survivors.size(); ++i) survivors[i] = i;
+  std::size_t c =
+      sig_on ? vectors
+             : std::min(plan.first_window != 0 ? plan.first_window
+                                               : kFirstWindow,
+                        vectors);
+  survivors = run_window(survivors, 0, c);
+  while (!survivors.empty() && c < vectors && !cancelled()) {
+    const std::size_t batches = (survivors.size() + fpb - 1) / fpb;
+    const std::size_t next =
+        resumable && batches >= 2 ? std::min(vectors, 2 * c) : vectors;
+    survivors = run_window(survivors, resumable ? c : 0, next);
+    c = next;
+  }
 
-  for (const std::int32_t c : result.detect_cycle)
-    if (c >= 0) ++result.detected;
+  for (const std::int32_t cycle : result.detect_cycle)
+    if (cycle >= 0) ++result.detected;
   result.complete = result.finalized_count() == faults.size();
   // Merges may have left worker defaults in place.
   result.stats.engine = engine;
@@ -457,7 +489,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,
                                const FaultSimOptions& opt) {
-  return detail::simulate_faults_segmented(nl, stimulus, faults, opt, 0);
+  return detail::simulate_faults_planned(nl, stimulus, faults, opt, {});
 }
 
 FaultSimResult simulate_design(const gate::LoweredDesign& d,

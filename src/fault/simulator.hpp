@@ -5,11 +5,11 @@
 // the SIMD backend — common/simd.hpp) each carry one injected stuck-at
 // fault. A batch runs the stimulus from reset (with each fault's own
 // register state evolving in its lane) until every fault in the batch
-// has produced an output difference or the vector budget is exhausted.
-// On a feed-forward netlist the long final pass may instead split each
-// batch over time: a segment starts from the good machine's state one
-// register depth before its first cycle, warms up, and records only its
-// own cycles (see simulate_faults). Detection is observation at the
+// has produced an output difference or its window ends. On a
+// feed-forward netlist later windows regroup the survivors and resume
+// from the good machine's state one register depth before their first
+// cycle, and the final window may split each batch over time the same
+// way (see simulate_faults). Detection is observation at the
 // filter's output word with no response compaction — the paper's "no
 // aliasing in the response analyzer" assumption.
 //
@@ -67,13 +67,15 @@ const char* fault_sim_engine_name(FaultSimEngine e);
 struct FaultSimStats {
   /// Engine that ran (never Auto in a result).
   FaultSimEngine engine = FaultSimEngine::Auto;
+  /// Batches summed over windows: every window repacks its faults into
+  /// batches of its own.
   std::uint64_t batches = 0;
   /// Kernel runs: one per batch, plus one per extra time segment of a
-  /// time-segmented batch, so it equals `batches` when no pass was
+  /// time-segmented batch, so it equals `batches` when no window was
   /// segmented.
   std::uint64_t segments = 0;
-  /// Clock cycles actually stepped across all kernel runs, time-segment
-  /// warm-ups included.
+  /// Clock cycles actually stepped across all kernel runs, the warm-ups
+  /// of runs that resume past reset included.
   std::uint64_t cycles_simulated = 0;
   /// Clock cycles kernel runs were budgeted for (warm-ups included); the
   /// difference from cycles_simulated is early exit (every fault of the
@@ -86,10 +88,12 @@ struct FaultSimStats {
   std::uint64_t gates_full_sweep = 0;
   /// Fault-free cycles spent recording good traces (compiled engine).
   std::uint64_t good_trace_cycles = 0;
-  /// Sum over batches of |cone gates| / |original logic gates| (the
-  /// unoptimized denominator, so savings stay comparable across pass
-  /// configurations).
-  double cone_fraction_sum = 0;
+  /// Sums over kernel runs of |cone gates| and of |original logic
+  /// gates| (the unoptimized denominator, so savings stay comparable
+  /// across pass configurations). Integers, so the sums do not depend on
+  /// which worker ran which run.
+  std::uint64_t cone_gates_sum = 0;
+  std::uint64_t netlist_gates_sum = 0;
   /// Simulation word width in lanes (64 scalar, 256 AVX2, 512 AVX-512)
   /// and the backend that produced it. Never Auto in a result.
   std::size_t lane_width = 0;
@@ -131,10 +135,12 @@ struct FaultSimStats {
   std::uint64_t artifact_evictions = 0;
   std::uint64_t artifact_load_failures = 0;
 
-  /// Mean fraction of the netlist a batch actually evaluates (1.0 for
-  /// the full-sweep engine).
+  /// Fraction of the netlist a kernel run actually evaluates, averaged
+  /// over runs (1.0 for the full-sweep engine).
   double mean_cone_fraction() const {
-    return batches == 0 ? 1.0 : cone_fraction_sum / double(batches);
+    return netlist_gates_sum == 0
+               ? 1.0
+               : double(cone_gates_sum) / double(netlist_gates_sum);
   }
   /// Mean cycles per batch saved by early exit.
   double mean_early_exit_cycles() const {
@@ -164,7 +170,8 @@ struct FaultSimStats {
     gates_evaluated += o.gates_evaluated;
     gates_full_sweep += o.gates_full_sweep;
     good_trace_cycles += o.good_trace_cycles;
-    cone_fraction_sum += o.cone_fraction_sum;
+    cone_gates_sum += o.cone_gates_sum;
+    netlist_gates_sum += o.netlist_gates_sum;
     pipeline_runs += o.pipeline_runs;
     pipeline_gates_before += o.pipeline_gates_before;
     pipeline_gates_after += o.pipeline_gates_after;
@@ -258,9 +265,9 @@ struct FaultSimOptions {
   gate::PassOptions passes;
 
   /// Response compaction. When enabled the run takes a single
-  /// full-budget pass (the signature is defined over the whole stimulus,
-  /// so neither the two-stage weed-out nor per-batch early exit may
-  /// shorten absorption) and FaultSimResult::signature_detect carries
+  /// full-budget window (the signature is defined over the whole
+  /// stimulus, so neither the window schedule nor per-batch early exit
+  /// may shorten absorption) and FaultSimResult::signature_detect carries
   /// the per-fault signature verdicts next to the word-compare ground
   /// truth in detect_cycle. Both verdict sets stay bit-identical across
   /// engines, SIMD widths and thread counts.
@@ -364,13 +371,17 @@ struct FaultSimResult {
 /// makes sliced/checkpointed campaigns (dist/coordinator.hpp)
 /// bit-identical to one-shot runs.
 ///
-/// Two stages: a 128-cycle pass over every fault, then a full-budget
-/// pass over its survivors. On a feed-forward netlist (finite
+/// Windows: every fault runs [0, 128) from reset, then the survivors
+/// replay [0, N) from reset. On a feed-forward netlist (finite
 /// gate::CompiledSchedule::register_depth D) the compiled engine's
-/// final word-compare pass splits each batch into S time segments,
-///   S = max(1, min(ceil(8 / batches), budget / (32 max(D, 1)))),
-/// so a pass of one long batch still feeds several workers. S never
-/// depends on the thread count.
+/// word-compare runs instead regroup the survivors at doubling
+/// checkpoints: window [c, next) packs the faults undetected before c
+/// into full batches that resume from the good state at c - min(c, D),
+/// with next = min(N, 2c) while they span two batches or more, else N.
+/// The final window [c, N) splits each batch into S time segments,
+///   S = max(1, min(ceil(8 / batches), (N - c) / (32 max(D, 1)))),
+/// so a window of one long batch still feeds several workers. The plan
+/// never depends on the thread count.
 FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,

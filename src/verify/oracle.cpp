@@ -328,8 +328,8 @@ Finding check_filter_case(const FilterCase& c) {
     const bool cyclic =
         !gate::CompiledSchedule(piped.netlist).register_depth();
     for (const std::size_t segments : {2, 3}) {
-      const auto seg = fault::detail::simulate_faults_segmented(
-          low.netlist, stim, faults, cone, segments);
+      const auto seg = fault::detail::simulate_faults_planned(
+          low.netlist, stim, faults, cone, {.segments = segments});
       if (auto f = check_stats_invariants(seg, cone.engine, faults.size(),
                                           stim.size()))
         return f;
@@ -341,6 +341,41 @@ Finding check_filter_case(const FilterCase& c) {
         return Finding::fail("segments: " + name + " split batches of a "
                              "netlist with register feedback");
     }
+
+    // Row 4d: survivor repacking. An 8-cycle first window and 8-fault
+    // batches give the sample several windows and batches on the fuzz
+    // stimuli, so a feed-forward case regroups its survivors at cycles
+    // 8, 16, 32, ... and resumes each window past reset. The verdicts
+    // must match FullSweep, and the batch count must follow the window
+    // rule restated over the reference's detect cycles: a cyclic case
+    // takes exactly two windows.
+    constexpr std::size_t kWindow = 8;
+    constexpr std::size_t kBatch = 8;
+    const auto rep = fault::detail::simulate_faults_planned(
+        low.netlist, stim, faults, cone,
+        {.first_window = kWindow, .batch_faults = kBatch});
+    if (auto f = check_stats_invariants(rep, cone.engine, faults.size(),
+                                        stim.size()))
+      return f;
+    if (auto f = diff_verdicts(ref, "FullSweep", rep, "Compiled/repacked"))
+      return f;
+    auto live_at = [&](std::size_t c) {
+      std::size_t n = 0;
+      for (const std::int32_t d : ref.detect_cycle)
+        n += d < 0 || std::size_t(d) >= c;
+      return n;
+    };
+    std::size_t batches = (faults.size() + kBatch - 1) / kBatch;
+    for (std::size_t c = std::min(kWindow, stim.size());
+         c < stim.size() && live_at(c) > 0;) {
+      const std::size_t b = (live_at(c) + kBatch - 1) / kBatch;
+      batches += b;
+      c = !cyclic && b >= 2 ? std::min(stim.size(), 2 * c) : stim.size();
+    }
+    if (rep.stats.batches != batches)
+      return Finding::fail("repack: " + std::to_string(rep.stats.batches) +
+                           " batches where the window rule plans " +
+                           std::to_string(batches));
   }
 
   // Row 5: the sliced campaign's execution shape, in memory — one

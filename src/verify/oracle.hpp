@@ -8,6 +8,7 @@
 //               linear model (rtl/linear_model.hpp)      |y| <= L1 bound
 //               Compiled engine vs  FullSweep engine     detect cycles
 //               2/3 time segments vs FullSweep engine    detect cycles
+//               repacked windows vs FullSweep engine     detect cycles
 //               one-shot engine vs  sliced campaign      detect cycles
 //               FaultSimResult::stats                    self-consistency
 //

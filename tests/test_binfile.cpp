@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bist/kit.hpp"
+#include "common/atomic_file.hpp"
 #include "common/binfile.hpp"
 #include "common/fingerprint.hpp"
 #include "designs/registry.hpp"
@@ -269,6 +270,58 @@ TEST(BinFile, ReaderFailsStickyAndFitsGuardsCounts) {
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(r.take_u8(), 0u);
   EXPECT_TRUE(r.failed());
+}
+
+TEST(BinFile, BulkArraysMatchOneTakePerElement) {
+  const std::vector<std::int32_t> cycles = {0, -1, 0x01020304, -2, 4095};
+  const std::vector<std::uint8_t> flags = {1, 0, 0xAB};
+  binfile::Writer bulk(kTestMagic, 1);
+  bulk.put_array<std::int32_t>(cycles);
+  bulk.put_array<std::uint8_t>(flags);
+  bulk.put_array<std::int32_t>({});
+  binfile::Writer each(kTestMagic, 1);
+  for (const std::int32_t c : cycles) each.put_i32(c);
+  for (const std::uint8_t f : flags) each.put_u8(f);
+  const std::vector<std::uint8_t> bytes = std::move(bulk).seal();
+  EXPECT_EQ(bytes, std::move(each).seal());
+
+  auto r = binfile::open(bytes, kTestMagic, 1, ErrorCode::CorruptCheckpoint,
+                         "test file");
+  ASSERT_TRUE(r) << r.error().to_string();
+  std::vector<std::int32_t> got_cycles(cycles.size());
+  std::vector<std::uint8_t> got_flags(flags.size());
+  r->take_array(std::span(got_cycles));
+  r->take_array(std::span(got_flags));
+  EXPECT_FALSE(r->failed());
+  EXPECT_EQ(got_cycles, cycles);
+  EXPECT_EQ(got_flags, flags);
+  EXPECT_EQ(r->remaining(), 0u);
+
+  // A short stream fails as a whole and leaves the array untouched.
+  const std::vector<std::uint8_t> six = {1, 2, 3, 4, 5, 6};
+  binfile::Reader short_reader(six);
+  std::vector<std::int32_t> two = {7, 7};
+  short_reader.take_array(std::span(two));
+  EXPECT_TRUE(short_reader.failed());
+  EXPECT_EQ(two, (std::vector<std::int32_t>{7, 7}));
+  EXPECT_EQ(short_reader.remaining(), 0u);
+}
+
+TEST_F(BinFileTest, AtomicWriteRoundTripsAnEmptyFile) {
+  // An empty span carries a null data pointer; the write must not hand
+  // it to fwrite (undefined behaviour that UBSan reports).
+  const std::string file = path("empty.bin");
+  ASSERT_TRUE(common::atomic_write_file(file, {}));
+  auto empty = binfile::read_file(file);
+  ASSERT_TRUE(empty) << empty.error().to_string();
+  EXPECT_TRUE(empty->empty());
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+
+  // And it still replaces a non-empty file.
+  const std::vector<std::uint8_t> three = {1, 2, 3};
+  ASSERT_TRUE(common::atomic_write_file(file, three));
+  ASSERT_TRUE(common::atomic_write_file(file, {}));
+  EXPECT_EQ(std::filesystem::file_size(file), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ TEST(FaultParallel, EngineStatsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(r.stats.cycles_budgeted, baseline.stats.cycles_budgeted);
     EXPECT_EQ(r.stats.gates_evaluated, baseline.stats.gates_evaluated);
     EXPECT_EQ(r.stats.gates_full_sweep, baseline.stats.gates_full_sweep);
-    EXPECT_DOUBLE_EQ(r.stats.cone_fraction_sum,
-                     baseline.stats.cone_fraction_sum);
+    EXPECT_EQ(r.stats.cone_gates_sum, baseline.stats.cone_gates_sum);
+    EXPECT_EQ(r.stats.netlist_gates_sum, baseline.stats.netlist_gates_sum);
   }
 }
 

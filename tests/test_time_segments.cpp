@@ -1,10 +1,10 @@
-// Time-segmented final passes (fault/simulator.cpp): on a feed-forward
-// netlist each batch of the full-budget pass may be split over time,
-// every segment warming up for the register depth from the good state.
-// The verdicts must be bit-identical to the whole-batch FullSweep
-// reference at any segment count and thread count; a cancelled
-// segmented pass must finalize a batch only when every one of its
-// segments ran; progress must stay strictly increasing.
+// Time-segmented final windows (fault/simulator.cpp): on a feed-forward
+// netlist each batch of the final window may be split over time, every
+// segment warming up for the register depth from the good state. The
+// verdicts must be bit-identical to the whole-batch FullSweep reference
+// at any segment count and thread count; a cancelled window must
+// finalize a batch's verdicts only when every one of its kernel runs
+// finished; progress must stay strictly increasing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +21,12 @@
 #include "gate/passes/pass.hpp"
 #include "gate/schedule.hpp"
 #include "tpg/generators.hpp"
+#include "window_plan.hpp"
 
 namespace fdbist::fault {
 namespace {
 
 constexpr std::size_t kVectors = 4096;
-constexpr std::size_t kStage1 = 128;
 
 struct Workload {
   std::string name;
@@ -68,26 +68,8 @@ FaultSimResult segmented(const Workload& w, std::size_t segments,
   opt.num_threads = threads;
   opt.engine = FaultSimEngine::Compiled;
   opt.simd = simd;
-  return detail::simulate_faults_segmented(w.low.netlist, w.stim, w.faults,
-                                           opt, segments);
-}
-
-/// Stage-1 survivors in pass order: the faults the reference did not
-/// detect within the first 128 cycles.
-std::vector<std::size_t> stage1_survivors(const FaultSimResult& ref) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < ref.detect_cycle.size(); ++i)
-    if (ref.detect_cycle[i] < 0 || std::size_t(ref.detect_cycle[i]) >= kStage1)
-      out.push_back(i);
-  return out;
-}
-
-/// The planner's rule, restated: S = max(1, min(ceil(8 / batches),
-/// budget / (32 D))).
-std::size_t planner_segments(std::size_t batches, std::size_t depth) {
-  return std::max<std::size_t>(
-      1, std::min((8 + batches - 1) / batches,
-                  kVectors / (32 * std::max<std::size_t>(depth, 1))));
+  return detail::simulate_faults_planned(w.low.netlist, w.stim, w.faults,
+                                         opt, {.segments = segments});
 }
 
 TEST(TimeSegments, EveryRegistryDesignMatchesFullSweep) {
@@ -96,8 +78,6 @@ TEST(TimeSegments, EveryRegistryDesignMatchesFullSweep) {
     const Workload w = workload(entry.name);
     const FaultSimResult ref = full_sweep(w);
     ASSERT_TRUE(ref.complete);
-    const std::size_t survivors = stage1_survivors(ref).size();
-    ASSERT_GT(survivors, 0u) << "stage 2 must run";
 
     // 0 = the planner's own count.
     for (const std::size_t s : {1, 2, 3, 64, 0}) {
@@ -108,27 +88,31 @@ TEST(TimeSegments, EveryRegistryDesignMatchesFullSweep) {
       EXPECT_EQ(r.finalized, ref.finalized);
       EXPECT_EQ(r.detected, ref.detected);
 
-      // Stage 1 is never segmented; stage 2 runs S segments per batch,
-      // and a cyclic netlist runs whole batches at any forced count.
-      const std::size_t fpb = r.stats.lane_width - 1;
-      const std::size_t b1 = (w.faults.size() + fpb - 1) / fpb;
-      const std::size_t b2 = (survivors + fpb - 1) / fpb;
-      EXPECT_EQ(r.stats.batches, b1 + b2);
-      std::size_t per_batch = 1;
-      if (w.depth) per_batch = s != 0 ? s : planner_segments(b2, *w.depth);
-      EXPECT_EQ(r.stats.segments, b1 + b2 * per_batch);
+      // Only the final window runs S segments per batch, and a cyclic
+      // netlist runs whole batches at any forced count.
+      const auto plan = testing::plan_windows(
+          ref.detect_cycle, r.stats.lane_width - 1, kVectors, w.depth, s);
+      ASSERT_GE(plan.windows.size(), 2u) << "survivors must reach window 1";
+      EXPECT_EQ(r.stats.batches, plan.batches);
+      EXPECT_EQ(r.stats.segments, plan.segments);
+      EXPECT_EQ(r.stats.cycles_budgeted, plan.cycles_budgeted);
+      if (plan.cycles_simulated) {
+        EXPECT_EQ(r.stats.cycles_simulated, *plan.cycles_simulated);
+      }
       EXPECT_GE(r.stats.cycles_budgeted, r.stats.cycles_simulated);
     }
   }
 }
 
 TEST(TimeSegments, PlannerSegmentsFeedForwardStage2Only) {
-  // The planner's choice for one stage-2 batch at 4096 vectors: LP two
-  // segments (4096 / (32 * 60)), DEC2 eight (the ceiling), IIR4 none.
-  // Counters are a function of the pass, never of the thread count.
+  // The planner's choice when the survivors of window 0 fit one batch
+  // at 4096 vectors: no repacking, one final window [128, 4096). LP gets
+  // two segments (3968 / (32 * 60)), DEC2 seven (3968 / (32 * 16)),
+  // IIR4 none. Counters are a function of the plan, never of the thread
+  // count.
   for (const auto& [name, expect] :
        std::vector<std::pair<std::string, std::size_t>>{
-           {"LP", 2}, {"DEC2", 8}, {"IIR4", 1}}) {
+           {"LP", 2}, {"DEC2", 7}, {"IIR4", 1}}) {
     SCOPED_TRACE(name);
     const Workload w = workload(name);
     const FaultSimResult r1 = segmented(w, 0, 1);
@@ -147,59 +131,81 @@ TEST(TimeSegments, PlannerSegmentsFeedForwardStage2Only) {
 }
 
 TEST(TimeSegments, CancelledPassFinalizesOnlyWholeBatches) {
-  // 64-lane batches give stage 2 several batches of four segments each.
-  // The token fires at the first finished stage-2 batch, while other
-  // workers may still be inside the segments of later batches.
+  // 64-lane batches give the windows after the first several batches,
+  // and the final window runs four segments per batch. The token fires
+  // at the first finished batch of window 1 (repacked, whole batches)
+  // and, in a second run, of the final window, while other workers may
+  // still be inside later batches or segments. A batch of the
+  // interrupted window is all or nothing: once every run of it finished
+  // it finalizes every fault the window decides (detected in it, or any
+  // fault of the final window), otherwise none.
   const Workload w = workload("LP");
   const FaultSimResult ref = full_sweep(w);
-  const auto survivors = stage1_survivors(ref);
   constexpr std::size_t kFpb = 63;
-  const std::size_t b2 = (survivors.size() + kFpb - 1) / kFpb;
-  ASSERT_GE(b2, 3u);
-  const std::size_t stage1_done = w.faults.size() - survivors.size();
+  constexpr std::size_t kSegments = 4;
+  const auto plan = testing::plan_windows(ref.detect_cycle, kFpb, kVectors,
+                                          w.depth, kSegments);
+  ASSERT_GE(plan.windows.size(), 3u);
+  ASSERT_GE(plan.windows[1].faults.size(), 2 * kFpb + 1);
 
-  for (const std::size_t threads : {1, 2, 4}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    common::CancelToken token;
-    FaultSimOptions opt;
-    opt.num_threads = threads;
-    opt.engine = FaultSimEngine::Compiled;
-    opt.simd = common::SimdBackend::Scalar;
-    opt.cancel = &token;
-    opt.progress = [&](std::size_t done, std::size_t) {
-      if (done > stage1_done) token.cancel();
-    };
-    const FaultSimResult r = detail::simulate_faults_segmented(
-        w.low.netlist, w.stim, w.faults, opt, 4);
-    ASSERT_EQ(r.stats.lane_width, 64u);
-    EXPECT_FALSE(r.complete);
+  for (const std::size_t target : {std::size_t{1}, plan.windows.size() - 1}) {
+    const testing::PlannedWindow& win = plan.windows[target];
+    const bool final_window = win.to == kVectors;
+    // Every fault outside the window was detected before it started.
+    const std::size_t before = w.faults.size() - win.faults.size();
+    for (const std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE("window " + std::to_string(target) + ", " +
+                   std::to_string(threads) + " threads");
+      common::CancelToken token;
+      FaultSimOptions opt;
+      opt.num_threads = threads;
+      opt.engine = FaultSimEngine::Compiled;
+      opt.simd = common::SimdBackend::Scalar;
+      opt.cancel = &token;
+      opt.progress = [&](std::size_t done, std::size_t) {
+        if (done > before) token.cancel();
+      };
+      const FaultSimResult r = detail::simulate_faults_planned(
+          w.low.netlist, w.stim, w.faults, opt, {.segments = kSegments});
+      ASSERT_EQ(r.stats.lane_width, 64u);
+      EXPECT_FALSE(r.complete);
 
-    // Every verdict present is final and exact; an unfinished batch
-    // reports nothing, not even a later segment's detection.
-    std::size_t detected = 0;
-    for (std::size_t i = 0; i < w.faults.size(); ++i) {
-      if (r.finalized[i])
-        EXPECT_EQ(r.detect_cycle[i], ref.detect_cycle[i]) << "fault " << i;
-      else
-        EXPECT_EQ(r.detect_cycle[i], -1) << "fault " << i;
-      if (r.detect_cycle[i] >= 0) ++detected;
-    }
-    EXPECT_EQ(r.detected, detected);
+      // Every verdict present is final and exact; an unfinished batch
+      // reports nothing, not even a later segment's detection.
+      std::size_t detected = 0;
+      for (std::size_t i = 0; i < w.faults.size(); ++i) {
+        if (r.finalized[i])
+          EXPECT_EQ(r.detect_cycle[i], ref.detect_cycle[i]) << "fault " << i;
+        else
+          EXPECT_EQ(r.detect_cycle[i], -1) << "fault " << i;
+        if (r.detect_cycle[i] >= 0) ++detected;
+      }
+      EXPECT_EQ(r.detected, detected);
+      EXPECT_GE(r.finalized_count(), before);
 
-    // Stage-2 batches are finalized all or nothing. At least the batch
-    // whose report fired the token finished; at one thread nothing runs
-    // after it.
-    std::size_t finished = 0;
-    for (std::size_t base = 0; base < survivors.size(); base += kFpb) {
-      const std::size_t end = std::min(base + kFpb, survivors.size());
-      std::size_t fin = 0;
-      for (std::size_t p = base; p < end; ++p) fin += r.finalized[survivors[p]];
-      EXPECT_TRUE(fin == 0 || fin == end - base) << "batch at " << base;
-      if (fin != 0) ++finished;
-    }
-    EXPECT_GE(finished, 1u);
-    if (threads == 1) {
-      EXPECT_EQ(finished, 1u);
+      // At least the batch whose report fired the token finished; at
+      // one thread nothing runs after it.
+      std::size_t finished = 0;
+      for (std::size_t base = 0; base < win.faults.size(); base += kFpb) {
+        const std::size_t end = std::min(base + kFpb, win.faults.size());
+        std::size_t fin = 0;
+        std::size_t decided = 0;
+        for (std::size_t p = base; p < end; ++p) {
+          const std::size_t i = win.faults[p];
+          const std::int32_t d = ref.detect_cycle[i];
+          const bool decides =
+              final_window || (d >= 0 && std::size_t(d) < win.to);
+          decided += decides;
+          fin += r.finalized[i];
+          EXPECT_TRUE(!r.finalized[i] || decides) << "fault " << i;
+        }
+        EXPECT_TRUE(fin == 0 || fin == decided) << "batch at " << base;
+        if (fin != 0) ++finished;
+      }
+      EXPECT_GE(finished, 1u);
+      if (threads == 1) {
+        EXPECT_EQ(finished, 1u);
+      }
     }
   }
 }
@@ -216,8 +222,8 @@ TEST(TimeSegments, ProgressStaysStrictlyIncreasing) {
         EXPECT_EQ(total, w.faults.size());
         done.push_back(d);
       };
-      detail::simulate_faults_segmented(w.low.netlist, w.stim, w.faults, opt,
-                                        s);
+      detail::simulate_faults_planned(w.low.netlist, w.stim, w.faults, opt,
+                                      {.segments = s});
       ASSERT_FALSE(done.empty());
       for (std::size_t i = 1; i < done.size(); ++i)
         EXPECT_GT(done[i], done[i - 1]) << "report " << i;
